@@ -150,23 +150,40 @@ class DecoderParams:
 _MASK_CACHE = {}
 
 
-def _causal_mask(n):
-    # additive mask: 0 on and below the diagonal, large negative above
-    if n not in _MASK_CACHE:
-        m = np.triu(np.full((n, n), -1e30), k=1)
-        _MASK_CACHE[n] = Tensor(m)
-    return _MASK_CACHE[n]
+def _causal_mask(n, m):
+    # additive mask for n new rows after m cached ones: 0 over the cached
+    # columns and on and below the diagonal, large negative above it
+    if (n, m) not in _MASK_CACHE:
+        _MASK_CACHE[n, m] = Tensor(np.triu(np.full((n, m + n), -1e30), k=m + 1))
+    return _MASK_CACHE[n, m]
 
 
-def decoder_hidden(params, x):
-    """Run the causal blocks over an embedded sequence (S, width)."""
+def decoder_hidden(params, x, past=None):
+    """Run the causal blocks over an embedded sequence (S, width).
+
+    past, if given, holds one [K, V] pair per block ([None, None] when
+    empty): the keys and values of the rows before x, which x attends to.
+    The call replaces each pair with one extended by x's own keys and values.
+    """
     n = x.data.shape[0]
-    mask = _causal_mask(n)
+    m = 0 if past is None or past[0][0] is None else past[0][0].data.shape[0]
+    mask = _causal_mask(n, m) if n > 1 else None
     scale = 1.0 / math.sqrt(params.width)
-    for b in params.blocks:
+    for i, b in enumerate(params.blocks):
         h = layer_norm(x)
-        scores = matmul(h @ b.wq, (h @ b.wk).transpose()) * scale + mask
-        att = matmul(softmax(scores, axis=1), h @ b.wv) @ b.wo
+        q, k = h @ b.wq, h @ b.wk
+        if m:
+            k = concat([past[i][0], k], axis=0)
+        scores = matmul(q, k.transpose()) * scale
+        if mask is not None:
+            scores = scores + mask
+        weights = softmax(scores, axis=1)
+        v = h @ b.wv
+        if m:
+            v = concat([past[i][1], v], axis=0)
+        if past is not None:
+            past[i] = [k, v]
+        att = matmul(weights, v) @ b.wo
         x = x + att
         h2 = layer_norm(x)
         x = x + ((h2 @ b.ff_w1 + b.ff_b1).gelu() @ b.ff_w2 + b.ff_b2)
@@ -207,8 +224,8 @@ def assemble_prompt(params, vocab, retrieved_text, v_proj, target):
     return AssembledPrompt(emb, target_ids, loss_positions, n_prefix)
 
 
-def sequence_logits(params, embeddings):
-    return decoder_hidden(params, embeddings) @ params.tok_emb.transpose()
+def sequence_logits(params, embeddings, past=None):
+    return decoder_hidden(params, embeddings, past) @ params.tok_emb.transpose()
 
 
 def token_cross_entropy(logits, target_ids):
@@ -228,27 +245,33 @@ def lm_loss(params, prompt):
 
 
 def generate(params, vocab, retrieved_text, v_proj, max_len):
-    """Greedy decoding from BOS until EOS or max_len tokens; ties take the
-    lowest token id. Returns detokenized text."""
+    """Greedy decoding from BOS until EOS, max_len tokens or max_positions
+    rows; ties take the lowest token id. Returns detokenized text.
+
+    The head [R_ret, SEP, prefix rows, BOS] runs once; each later step runs
+    only the newest token's row against the cached keys and values.
+    """
     r_ids = [vocab.id(t) for t in split_words(retrieved_text)] if retrieved_text else []
     prefix = (v_proj @ params.w_prefix).data
+    head = len(r_ids) + 1 + prefix.shape[0] + 1
+    if head > params.max_positions:
+        raise ValueError(f"assembled sequence length {head} exceeds "
+                         f"maximum {params.max_positions}")
+    tok, pos = params.tok_emb.data, params.pos_emb.data
+    x = Tensor(np.concatenate([tok[r_ids + [SEP]], prefix, tok[[BOS]]], axis=0)
+               + pos[:head])
+    past = [[None, None] for _ in params.blocks]
     out_ids = []
     while len(out_ids) < max_len:
-        tail = [BOS] + out_ids
-        total = len(r_ids) + 1 + prefix.shape[0] + len(tail)
-        if total > params.max_positions:
-            break
-        emb_rows = np.concatenate([
-            params.tok_emb.data[r_ids + [SEP]],
-            prefix,
-            params.tok_emb.data[tail],
-        ], axis=0)
-        emb = Tensor(emb_rows + params.pos_emb.data[:total])
-        logits = sequence_logits(params, emb).data[-1]
+        logits = sequence_logits(params, x, past=past).data[-1]
         nxt = int(np.argmax(logits))
         if nxt == EOS:
             break
         out_ids.append(nxt)
+        row = head + len(out_ids) - 1
+        if row >= params.max_positions:
+            break
+        x = Tensor(tok[[nxt]] + pos[[row]])
     return detokenize(out_ids, vocab)
 
 

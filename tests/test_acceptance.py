@@ -239,6 +239,7 @@ def test_c04_freeze_contract_over_100_steps():
 # -- criterion 5: stage-1 learnability -------------------------------------------------
 
 
+@pytest.mark.slow
 def test_c05_stage1_learnability(tmp_path):
     gen_dataset(SyntheticSpec(n_studies=200, image_size=32, seed=0), tmp_path)
     train = load_split(tmp_path, "train")
@@ -258,6 +259,7 @@ def test_c05_stage1_learnability(tmp_path):
 # -- criterion 6: stage-2 memorization -------------------------------------------------
 
 
+@pytest.mark.slow
 def test_c06_stage2_memorization():
     samples = make_samples(10, seed=31, image_size=32, finding_probs=[0.3] * 14,
                            negated_prob=0.3)
@@ -313,6 +315,7 @@ def ablation_scores(tmp_path_factory):
     return scores
 
 
+@pytest.mark.slow
 def test_c07_ablation_ordering(ablation_scores):
     s = ablation_scores
     # documented tolerance of 0.005 on the inequality involving the middle
@@ -464,6 +467,7 @@ def _full_pipeline(root):
     return (root / "reports.jsonl").read_bytes(), (root / "metrics.json").read_bytes()
 
 
+@pytest.mark.slow
 def test_c12_full_pipeline_byte_identical(tmp_path):
     reports_a, metrics_a = _full_pipeline(tmp_path / "run1")
     reports_b, metrics_b = _full_pipeline(tmp_path / "run2")

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dast_lab import generator
 from dast_lab.generator import (
     BOS,
     EOS,
@@ -11,11 +14,13 @@ from dast_lab.generator import (
     Vocabulary,
     apply_freeze,
     assemble_prompt,
+    decoder_hidden,
     detokenize,
     generate,
     lm_loss,
     normalize_text,
     sequence_logits,
+    split_words,
     stage2_freeze_mask,
     token_cross_entropy,
     tokenize,
@@ -40,6 +45,14 @@ def vocab():
 
 def tiny_decoder(v, width=12, seed=0, max_positions=64, n_blocks=2):
     return DecoderParams.init(rng(seed), len(v), width, max_positions, n_blocks=n_blocks)
+
+
+def sharp_decoder(v, scale=20.0, **kwargs):
+    """A tiny decoder with larger weights: less uniform logits, earlier EOS."""
+    d = tiny_decoder(v, **kwargs)
+    for t in d.named().values():
+        t.data *= scale
+    return d
 
 
 # -- tokenizer ------------------------------------------------------------------
@@ -221,6 +234,117 @@ def test_generate_deterministic():
     a = generate(d, v, "no pneumothorax .", v_proj, 20)
     b = generate(d, v, "no pneumothorax .", v_proj, 20)
     assert a == b
+
+
+def full_recompute_generate(params, vocab, retrieved_text, v_proj, max_len):
+    """Reference greedy decoder: reruns the whole sequence for every token."""
+    r_ids = [vocab.id(t) for t in split_words(retrieved_text)] if retrieved_text else []
+    prefix = (v_proj @ params.w_prefix).data
+    out_ids = []
+    while len(out_ids) < max_len:
+        tail = [BOS] + out_ids
+        total = len(r_ids) + 1 + prefix.shape[0] + len(tail)
+        if total > params.max_positions:
+            break
+        emb_rows = np.concatenate([
+            params.tok_emb.data[r_ids + [SEP]],
+            prefix,
+            params.tok_emb.data[tail],
+        ], axis=0)
+        emb = Tensor(emb_rows + params.pos_emb.data[:total])
+        logits = sequence_logits(params, emb).data[-1]
+        nxt = int(np.argmax(logits))
+        if nxt == EOS:
+            break
+        out_ids.append(nxt)
+    return detokenize(out_ids, vocab)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16), width=st.integers(8, 16), n_blocks=st.integers(1, 2),
+       retrieved=st.lists(st.sampled_from(vocab().tokens[5:]), max_size=10),
+       n_prefix=st.integers(1, 4), max_len=st.integers(0, 20),
+       spare=st.integers(-2, 24), scale=st.sampled_from([1.0, 20.0]))
+def test_generate_matches_full_recompute(seed, width, n_blocks, retrieved, n_prefix,
+                                         max_len, spare, scale):
+    v = vocab()
+    head = len(retrieved) + 1 + n_prefix + 1
+    max_positions = max(head + spare, 1)  # spare < max_len hits the cap mid-decode
+    d = sharp_decoder(v, scale, width=width, seed=seed, max_positions=max_positions,
+                      n_blocks=n_blocks)
+    v_proj = Tensor(rng(seed + 1).normal(size=(n_prefix, width)))
+    text = " ".join(retrieved)
+    want = full_recompute_generate(d, v, text, v_proj, max_len)
+    if head > max_positions:
+        assert want == ""
+        with pytest.raises(ValueError, match="exceeds"):
+            generate(d, v, text, v_proj, max_len)
+    else:
+        assert generate(d, v, text, v_proj, max_len) == want
+
+
+def test_generate_rejects_overlong_head():
+    v = vocab()
+    d = tiny_decoder(v, max_positions=8)
+    # 5 retrieved words + SEP + 2 prefix rows + BOS = 9 rows
+    with pytest.raises(ValueError,
+                       match="assembled sequence length 9 exceeds maximum 8"):
+        generate(d, v, "no pleural effusion . cardiomegaly",
+                 Tensor(rng(18).normal(size=(2, 12))), 4)
+
+
+def test_generate_runs_head_once_then_one_row_per_token(monkeypatch):
+    v = vocab()
+    d = sharp_decoder(v, seed=19, max_positions=40)
+    rows = []
+    inner = generator.sequence_logits
+
+    def counting(params, embeddings, past=None):
+        rows.append(embeddings.data.shape[0])
+        return inner(params, embeddings, past=past)
+
+    monkeypatch.setattr(generator, "sequence_logits", counting)
+    out = generate(d, v, "the chest is clear .", Tensor(rng(20).normal(size=(3, 12))), 12)
+    n_tokens = len(out.split())
+    assert rows[0] == 5 + 1 + 3 + 1
+    assert rows[1:] == [1] * (len(rows) - 1)
+    assert len(rows) in (n_tokens, n_tokens + 1)  # + 1 when EOS ends the report
+
+
+# -- key/value cache ---------------------------------------------------------------------
+
+
+def cache_fixture(seed=21, rows=9):
+    return sharp_decoder(vocab(), seed=seed), Tensor(rng(seed + 1).normal(size=(rows, 12)))
+
+
+def test_empty_cache_is_bit_identical_to_no_cache():
+    d, x = cache_fixture()
+    past = [[None, None]] * len(d.blocks)
+    assert np.array_equal(decoder_hidden(d, x, past=past).data, decoder_hidden(d, x).data)
+
+
+def test_rows_one_at_a_time_match_full_pass():
+    d, x = cache_fixture()
+    full = decoder_hidden(d, x).data
+    past = [[None, None] for _ in d.blocks]
+    for i in range(x.data.shape[0]):
+        row = decoder_hidden(d, Tensor(x.data[i:i + 1]), past=past).data
+        assert np.abs(row - full[i:i + 1]).max() < 1e-9
+    assert [k.data.shape[0] for k, _ in past] == [x.data.shape[0]] * len(d.blocks)
+    assert [v.data.shape[0] for _, v in past] == [x.data.shape[0]] * len(d.blocks)
+
+
+def test_split_at_any_point_matches_full_pass():
+    d, x = cache_fixture()
+    full = decoder_hidden(d, x).data
+    s = x.data.shape[0]
+    for m in range(1, s):
+        past = [[None, None] for _ in d.blocks]
+        first = decoder_hidden(d, Tensor(x.data[:m]), past=past).data
+        rest = decoder_hidden(d, Tensor(x.data[m:]), past=past).data
+        assert np.abs(np.concatenate([first, rest]) - full).max() < 1e-9
+        assert all(k.data.shape[0] == s and v.data.shape[0] == s for k, v in past)
 
 
 # -- freezing ---------------------------------------------------------------------------
