@@ -5,32 +5,33 @@ ties break toward earlier insertion. A deliberately boring brute-force scorer
 ships alongside the query path so the two can be checked against each other
 exactly, scores and tie-breaks included.
 
-On-disk format (little-endian, bit-exact round-trip):
-    magic  b"DMSR1\\0"
-    u32    vector width C
-    u32    record count
-    per record:
-        u16 id byte length, UTF-8 id
-        C   f64 pooled visual vector
-        14  f64 disease logits
-        u32 report byte length, UTF-8 report
+On disk an index is one `store` container (magic b"DMSR2\\0", bit-exact
+round-trip). The JSON header holds the vector width C, the study ids and
+reports in insertion order, and the SHA-256 of the stage-1 arrays the index
+was built from; the arrays are the N x C pooled visual vectors "z_bar" and
+the N x 14 disease logits "logits". Stage 2 and generation refuse an index
+whose digest differs from their model's stage-1 arrays (StaleIndexError).
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import store
 from .ontology import NUM_CATEGORIES
 
-MAGIC = b"DMSR1\x00"
+MAGIC = b"DMSR2\x00"
 DEFAULT_LAMBDA = 0.5
 
 
 class IndexFormatError(ValueError):
     """Corrupt or mismatched index file."""
+
+
+class StaleIndexError(ValueError):
+    """Index built from other stage-1 arrays than the model that reads it."""
 
 
 @dataclass
@@ -50,7 +51,7 @@ class ExemplarRecord:
 @dataclass
 class ExemplarIndex:
     width: int
-    lambda_default: float = DEFAULT_LAMBDA
+    stage1_sha256: str = ""
     records: list = field(default_factory=list)
     _ids: set = field(default_factory=set)
 
@@ -60,7 +61,8 @@ class ExemplarIndex:
     def __eq__(self, other):
         if not isinstance(other, ExemplarIndex):
             return NotImplemented
-        if self.width != other.width or len(self.records) != len(other.records):
+        if (self.width != other.width or self.stage1_sha256 != other.stage1_sha256
+                or len(self.records) != len(other.records)):
             return False
         for a, b in zip(self.records, other.records):
             if (a.study_id != b.study_id or a.report != b.report
@@ -79,8 +81,8 @@ def add_exemplar(index, record):
         raise ValueError(f"vector width {record.z_bar.shape} does not match index width {index.width}")
     if record.study_id in index._ids:
         raise ValueError(f"duplicate study_id '{record.study_id}'")
-    if np.linalg.norm(record.z_bar) == 0.0 or np.linalg.norm(record.logits) == 0.0:
-        raise ValueError(f"zero-norm vector for study '{record.study_id}'")
+    if not all(0.0 < np.linalg.norm(v) < np.inf for v in (record.z_bar, record.logits)):
+        raise ValueError(f"zero-norm or non-finite vector for study '{record.study_id}'")
     index.records.append(record)
     index._ids.add(record.study_id)
 
@@ -100,7 +102,7 @@ def query(index, z_bar, logits, lam=None, k=1, exclude_id=None, use_probabilitie
         raise ValueError("cannot query an empty index")
     if k < 1:
         raise ValueError("k must be >= 1")
-    lam = index.lambda_default if lam is None else lam
+    lam = DEFAULT_LAMBDA if lam is None else lam
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     z_bar = np.asarray(z_bar, dtype=np.float64)
@@ -120,7 +122,7 @@ def brute_force_oracle(index, z_bar, logits, lam=None, k=1, exclude_id=None,
     """Straight-line reference: score every record, select maxima one at a time."""
     if len(index) == 0:
         raise ValueError("cannot query an empty index")
-    lam = index.lambda_default if lam is None else lam
+    lam = DEFAULT_LAMBDA if lam is None else lam
     z_bar = np.asarray(z_bar, dtype=np.float64)
     logits = np.asarray(logits, dtype=np.float64)
     remaining = []
@@ -154,54 +156,25 @@ def retrieve_report(index, z_bar, logits, lam=None, exclude_id=None, use_probabi
 
 
 def save(index, path):
-    chunks = [MAGIC, struct.pack("<II", index.width, len(index.records))]
-    for r in index.records:
-        sid = r.study_id.encode("utf-8")
-        rep = r.report.encode("utf-8")
-        chunks.append(struct.pack("<H", len(sid)))
-        chunks.append(sid)
-        chunks.append(r.z_bar.astype("<f8").tobytes())
-        chunks.append(r.logits.astype("<f8").tobytes())
-        chunks.append(struct.pack("<I", len(rep)))
-        chunks.append(rep)
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
-
-
-class _Reader:
-    def __init__(self, blob):
-        self.blob = blob
-        self.pos = 0
-
-    def take(self, n):
-        if self.pos + n > len(self.blob):
-            raise IndexFormatError("truncated index file")
-        out = self.blob[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+    n = len(index.records)
+    meta = {"width": index.width, "stage1_sha256": index.stage1_sha256,
+            "ids": [r.study_id for r in index.records],
+            "reports": [r.report for r in index.records]}
+    store.write(path, MAGIC, meta, {
+        "z_bar": np.reshape([r.z_bar for r in index.records], (n, index.width)),
+        "logits": np.reshape([r.logits for r in index.records], (n, NUM_CATEGORIES))})
 
 
 def load(path):
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    r = _Reader(blob)
-    if r.take(len(MAGIC)) != MAGIC:
-        raise IndexFormatError("magic mismatch: not an exemplar index file")
-    width, count = r.unpack("<II")
-    if width < 1:
-        raise IndexFormatError(f"invalid vector width {width}")
-    index = ExemplarIndex(width=width)
-    for _ in range(count):
-        (id_len,) = r.unpack("<H")
-        sid = r.take(id_len).decode("utf-8")
-        z_bar = np.frombuffer(r.take(8 * width), dtype="<f8").copy()
-        logits = np.frombuffer(r.take(8 * NUM_CATEGORIES), dtype="<f8").copy()
-        (rep_len,) = r.unpack("<I")
-        report = r.take(rep_len).decode("utf-8")
-        add_exemplar(index, ExemplarRecord(sid, z_bar, logits, report))
-    if r.pos != len(blob):
-        raise IndexFormatError("trailing bytes after final record")
+    meta, arrays = store.read(path, MAGIC, IndexFormatError)
+    try:
+        width = meta["width"]
+        if type(width) is not int or width < 1:
+            raise ValueError(f"invalid vector width {width}")
+        index = ExemplarIndex(width=width, stage1_sha256=meta["stage1_sha256"])
+        for row in zip(meta["ids"], arrays["z_bar"], arrays["logits"], meta["reports"],
+                       strict=True):
+            add_exemplar(index, ExemplarRecord(*row))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise IndexFormatError(f"corrupt index: {exc}") from exc
     return index

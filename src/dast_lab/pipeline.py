@@ -7,10 +7,11 @@ being a pretrained language model), then freezes everything except the
 projection matrix and its layer-norm affine and optimizes the language
 modeling loss, optionally with retrieved exemplar prompts.
 
-Checkpoints are a single binary blob of named float64 tensors:
-    magic b"DLCKPT1", u32 tensor count, then per tensor
-    u16 name length + UTF-8 name, u8 ndim, ndim x u32 dims, f64 data (LE).
-Vocabulary and hyperparameters ride along as encoded tensors.
+A checkpoint is one `store` container (magic b"DLCKPT2"): its named float64
+tensors plus one "meta" dict in the JSON header, holding the model kind
+("stage1" or "stage2"), the dims and config values the model is built from,
+and, for stage 2, the vocabulary. Loading builds the model through its own
+`init` and fills every `named()` tensor, with shape and finiteness checks.
 """
 
 from __future__ import annotations
@@ -19,19 +20,17 @@ import dataclasses
 import hashlib
 import json
 import math
-import struct
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import dmsr
+from . import dmsr, store
 from .dvaf import FusionParams, build_visual_sequence, dvaf_pool, gate_fuse, project
-from .encoder import EncoderParams, SsmBlockParams, encode, pool_mean
+from .encoder import EncoderParams, encode, pool_mean
 from .generator import (
     SPECIAL_TOKENS,
-    DecoderBlock,
     DecoderParams,
     Vocabulary,
     apply_freeze,
@@ -41,10 +40,11 @@ from .generator import (
     stage2_freeze_mask,
     tokenize,
 )
+from .metrics import _prf
 from .stage1 import DastBank, HashTextEncoder, classify, refine_dasts, stage1_loss
 from .tensor import NonFiniteError, Tensor, backward
 
-CKPT_MAGIC = b"DLCKPT1"
+CKPT_MAGIC = b"DLCKPT2"
 
 
 class CheckpointError(ValueError):
@@ -202,71 +202,44 @@ class AdamW:
 
 
 def save_checkpoint(path, arrays):
-    chunks = [CKPT_MAGIC, struct.pack("<I", len(arrays))]
-    for name, value in arrays.items():
-        data = np.asarray(value, dtype=np.float64)  # tobytes() emits C order
-        nb = name.encode("utf-8")
-        chunks.append(struct.pack("<H", len(nb)))
-        chunks.append(nb)
-        chunks.append(struct.pack("<B", data.ndim))
-        if data.ndim:
-            chunks.append(struct.pack(f"<{data.ndim}I", *data.shape))
-        chunks.append(data.astype("<f8").tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    """Write named arrays plus an optional "meta" entry, a JSON-able dict."""
+    store.write(path, CKPT_MAGIC, {k: v for k, v in arrays.items() if k == "meta"},
+                {k: v for k, v in arrays.items() if k != "meta"})
 
 
 def load_checkpoint(path):
-    blob = Path(path).read_bytes()
-    pos = 0
-
-    def take(n):
-        nonlocal pos
-        if pos + n > len(blob):
-            raise CheckpointError("truncated checkpoint file")
-        out = blob[pos:pos + n]
-        pos += n
-        return out
-
-    if take(len(CKPT_MAGIC)) != CKPT_MAGIC:
-        raise CheckpointError("magic mismatch: not a checkpoint file")
-    (count,) = struct.unpack("<I", take(4))
-    arrays = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<H", take(2))
-        name = take(name_len).decode("utf-8")
-        (ndim,) = struct.unpack("<B", take(1))
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim)) if ndim else ()
-        n_items = int(np.prod(shape)) if shape else 1
-        arrays[name] = np.frombuffer(take(8 * n_items), dtype="<f8").reshape(shape).copy()
-    if pos != len(blob):
-        raise CheckpointError("trailing bytes after final tensor")
-    return arrays
+    header, arrays = store.read(path, CKPT_MAGIC, CheckpointError)
+    return {**arrays, **header}
 
 
-def _pack_meta(values, keys):
-    return np.array([float(values[k]) for k in keys])
+def _tensor_arrays(model):
+    return {name: t.data for name, t in model.named().items()}
 
 
-def _unpack_meta(arr, keys):
-    return {k: float(v) for k, v in zip(keys, arr)}
-
-
-S1_META_KEYS = ("channels", "patch_size", "depth", "refine_depth", "tau")
-S2_META_KEYS = ("channels", "patch_size", "depth", "refine_depth", "decoder_width",
-                "decoder_blocks", "decoder_ff_mult", "max_positions", "max_report_len",
-                "use_dast_dvaf", "use_dmsr", "lambda_", "tau", "fusion_mode_idx",
-                "use_probabilities")
-_FUSION_MODES = ("linear", "sigmoid")
-
-
-def _vocab_to_array(vocab):
-    text = " ".join(vocab.tokens[len(SPECIAL_TOKENS):])
-    return np.frombuffer(text.encode("utf-8"), dtype=np.uint8).astype(np.float64)
-
-
-def _vocab_from_array(arr):
-    text = bytes(np.asarray(arr, dtype=np.float64).astype(np.uint8)).decode("utf-8")
-    return Vocabulary(text.split())
+def _load_model(arrays, kind, build):
+    """Build a model of `kind` through `build(cfg, meta)` from the checkpoint's
+    meta, then fill every named() tensor from the arrays, frozen."""
+    meta = arrays.get("meta")
+    found = meta.get("kind") if isinstance(meta, dict) else None
+    if found != kind:
+        raise CheckpointError(f"expected a {kind} checkpoint, got {found or 'no model kind'}")
+    try:
+        cfg = TrainConfig(**{k: v for k, v in meta.items() if k not in ("kind", "vocab")})
+        model = build(cfg, meta)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"bad {kind} settings: {exc}") from exc
+    for name, t in model.named().items():
+        if name not in arrays:
+            raise CheckpointError(f"missing tensor '{name}'")
+        value = np.array(arrays[name], dtype=np.float64)
+        if value.shape != t.data.shape:
+            raise CheckpointError(f"tensor '{name}' has shape {value.shape}, "
+                                  f"expected {t.data.shape}")
+        if not np.all(np.isfinite(value)):
+            raise CheckpointError(f"non-finite values in tensor '{name}'")
+        t.data = value
+        t.requires_grad = False
+    return model
 
 
 # -- stage 1 -----------------------------------------------------------------------
@@ -304,33 +277,19 @@ class Stage1Model:
         return (1.0 / (1.0 + np.exp(-logits.data)) > 0.5).astype(int)
 
 
+def _stage1_meta(model):
+    return {"channels": model.encoder.channels, "patch_size": model.encoder.patch_size,
+            "depth": len(model.encoder.blocks), "refine_depth": model.refine_depth,
+            "tau": model.tau}
+
+
 def stage1_arrays(model):
-    out = {name: t.data for name, t in model.named().items()}
-    out["meta/stage1"] = _pack_meta({
-        "channels": model.encoder.channels, "patch_size": model.encoder.patch_size,
-        "depth": len(model.encoder.blocks), "refine_depth": model.refine_depth,
-        "tau": model.tau}, S1_META_KEYS)
-    return out
+    return {**_tensor_arrays(model), "meta": {"kind": "stage1", **_stage1_meta(model)}}
 
 
-def stage1_from_arrays(arrays, trainable=False):
-    meta = _unpack_meta(arrays["meta/stage1"], S1_META_KEYS)
-    channels = int(meta["channels"])
-    patch = int(meta["patch_size"])
-    depth = int(meta["depth"])
-    enc = EncoderParams(patch, channels,
-                        Tensor(arrays["encoder/w_embed"], requires_grad=trainable), [])
-    for i in range(depth):
-        block = SsmBlockParams.__new__(SsmBlockParams)
-        for attr in ("decay_raw", "w_in", "w_out", "skip"):
-            setattr(block, attr,
-                    Tensor(arrays[f"encoder/block{i}/{attr}"], requires_grad=trainable))
-        enc.blocks.append(block)
-    bank = DastBank(Tensor(arrays["dast/tokens"], requires_grad=trainable),
-                    Tensor(arrays["dast/head_w"], requires_grad=trainable),
-                    Tensor(arrays["dast/head_b"], requires_grad=trainable))
-    return Stage1Model(enc, bank, HashTextEncoder(channels),
-                       refine_depth=int(meta["refine_depth"]), tau=meta["tau"])
+def stage1_from_arrays(arrays):
+    return _load_model(arrays, "stage1",
+                       lambda cfg, _: Stage1Model.init(np.random.default_rng(0), cfg))
 
 
 class _BatchSchedule:
@@ -381,17 +340,11 @@ def _write_log(path, records):
 
 def macro_f1(pred_rows, true_rows):
     """Binary multilabel macro-F1 with the zero-denominator-is-zero convention."""
-    pred = np.asarray(pred_rows)
-    true = np.asarray(true_rows)
-    scores = []
-    for d in range(pred.shape[1]):
-        tp = int(np.sum((pred[:, d] == 1) & (true[:, d] == 1)))
-        fp = int(np.sum((pred[:, d] == 1) & (true[:, d] == 0)))
-        fn = int(np.sum((pred[:, d] == 0) & (true[:, d] == 1)))
-        p = tp / (tp + fp) if tp + fp else 0.0
-        r = tp / (tp + fn) if tp + fn else 0.0
-        scores.append(2 * p * r / (p + r) if p + r else 0.0)
-    return float(np.mean(scores))
+    pred = np.asarray(pred_rows) == 1
+    true = np.asarray(true_rows) == 1
+    counts = zip(np.sum(pred & true, axis=0), np.sum(pred & ~true, axis=0),
+                 np.sum(~pred & true, axis=0))
+    return float(np.mean([_prf(int(tp), int(fp), int(fn))[2] for tp, fp, fn in counts]))
 
 
 def stage1_macro_f1(model, samples):
@@ -403,9 +356,9 @@ def stage1_macro_f1(model, samples):
 # -- exemplar index over a trained stage-1 model ----------------------------------------
 
 
-def build_index(model, samples, lambda_default=dmsr.DEFAULT_LAMBDA):
+def build_index(model, samples):
     index = dmsr.ExemplarIndex(width=model.encoder.channels,
-                               lambda_default=lambda_default)
+                               stage1_sha256=store.sha256(_tensor_arrays(model)))
     for s in samples:
         _, z_bar, _, logits = model.forward(s)
         dmsr.add_exemplar(index, dmsr.ExemplarRecord(
@@ -457,6 +410,30 @@ class Stage2Model:
         return dmsr.retrieve_report(index, z_bar, logits, lam=self.lambda_,
                                     exclude_id=exclude_id,
                                     use_probabilities=self.use_probabilities)
+
+
+def _stage2_model(cfg, stage1, vocab, rng):
+    """The one Stage-2 constructor, for training and for loading."""
+    fusion = FusionParams(rng, stage1.encoder.channels, cfg.decoder_width)
+    decoder = DecoderParams.init(rng, len(vocab), cfg.decoder_width, cfg.max_positions,
+                                 cfg.decoder_blocks, cfg.decoder_ff_mult)
+    return Stage2Model(stage1, fusion, decoder, vocab,
+                       use_dast_dvaf=cfg.use_dast_dvaf, use_dmsr=cfg.use_dmsr,
+                       lambda_=cfg.lambda_, fusion_mode=cfg.fusion_mode,
+                       use_probabilities=cfg.use_probabilities,
+                       max_report_len=cfg.max_report_len)
+
+
+def _check_index(model, index):
+    """With retrieval on, the index must come from the model's own stage-1 arrays."""
+    if not model.use_dmsr:
+        return
+    digest = store.sha256(_tensor_arrays(model.stage1))
+    if index.stage1_sha256 != digest:
+        raise dmsr.StaleIndexError(
+            f"stale index: built from stage-1 arrays {index.stage1_sha256[:12] or '(unknown)'}, "
+            f"which does not match this model's stage-1 arrays {digest[:12]}; "
+            "rebuild it with build-index from the same stage-1 checkpoint")
 
 
 @dataclass
@@ -513,17 +490,9 @@ def run_stage2(cfg, samples, stage1_ckpt_arrays, index, log_path=None):
     if cfg.use_dmsr and index is None:
         raise ValueError("stage 2 with retrieval enabled requires an exemplar index")
     rng = np.random.default_rng(cfg.seed)
-    s1 = stage1_from_arrays(stage1_ckpt_arrays, trainable=False)
     vocab = Vocabulary.from_corpus([s.report for s in samples])
-    fusion = FusionParams(rng, cfg.channels, cfg.decoder_width)
-    decoder = DecoderParams.init(rng, len(vocab), cfg.decoder_width,
-                                 cfg.max_positions, cfg.decoder_blocks,
-                                 cfg.decoder_ff_mult)
-    model = Stage2Model(s1, fusion, decoder, vocab,
-                        use_dast_dvaf=cfg.use_dast_dvaf, use_dmsr=cfg.use_dmsr,
-                        lambda_=cfg.lambda_, fusion_mode=cfg.fusion_mode,
-                        use_probabilities=cfg.use_probabilities,
-                        max_report_len=cfg.max_report_len)
+    model = _stage2_model(cfg, stage1_from_arrays(stage1_ckpt_arrays), vocab, rng)
+    _check_index(model, index)
     caches = _prepare_caches(model, samples, index)
     named = model.named()
 
@@ -564,64 +533,28 @@ def run_stage2(cfg, samples, stage1_ckpt_arrays, index, log_path=None):
 
 
 def stage2_arrays(model):
-    out = {name: t.data for name, t in model.named().items()}
-    s1_meta = stage1_arrays(model.stage1)["meta/stage1"]
-    out["meta/stage1"] = s1_meta
-    out["meta/stage2"] = _pack_meta({
-        "channels": model.stage1.encoder.channels,
-        "patch_size": model.stage1.encoder.patch_size,
-        "depth": len(model.stage1.encoder.blocks),
-        "refine_depth": model.stage1.refine_depth,
-        "decoder_width": model.decoder.width,
-        "decoder_blocks": len(model.decoder.blocks),
-        "decoder_ff_mult": model.decoder.blocks[0].ff_w1.data.shape[1] // model.decoder.width,
-        "max_positions": model.decoder.max_positions,
-        "max_report_len": model.max_report_len,
-        "use_dast_dvaf": model.use_dast_dvaf,
-        "use_dmsr": model.use_dmsr,
-        "lambda_": model.lambda_,
-        "tau": model.stage1.tau,
-        "fusion_mode_idx": _FUSION_MODES.index(model.fusion_mode),
-        "use_probabilities": model.use_probabilities,
-    }, S2_META_KEYS)
-    out["vocab/utf8"] = _vocab_to_array(model.vocab)
-    return out
+    dec = model.decoder
+    meta = {"kind": "stage2", **_stage1_meta(model.stage1),
+            "decoder_width": dec.width, "decoder_blocks": len(dec.blocks),
+            "decoder_ff_mult": dec.blocks[0].ff_w1.data.shape[1] // dec.width,
+            "max_positions": dec.max_positions, "max_report_len": model.max_report_len,
+            "use_dast_dvaf": model.use_dast_dvaf, "use_dmsr": model.use_dmsr,
+            "lambda_": model.lambda_, "fusion_mode": model.fusion_mode,
+            "use_probabilities": model.use_probabilities,
+            "vocab": model.vocab.tokens[len(SPECIAL_TOKENS):]}
+    return {**_tensor_arrays(model), "meta": meta}
 
 
 def stage2_from_arrays(arrays):
-    meta = _unpack_meta(arrays["meta/stage2"], S2_META_KEYS)
-    s1 = stage1_from_arrays(arrays, trainable=False)
-    vocab = _vocab_from_array(arrays["vocab/utf8"])
-    width = int(meta["decoder_width"])
-    fusion = FusionParams.__new__(FusionParams)
-    for name, attr in (("wq_cross", "wq_cross"), ("wk_cross", "wk_cross"),
-                       ("wv_cross", "wv_cross"), ("wq_self", "wq_self"),
-                       ("wk_self", "wk_self"), ("wv_self", "wv_self"),
-                       ("pool_query", "pool_query"), ("w_gate", "w_gate"),
-                       ("w_proj", "w_proj"), ("proj_gamma", "proj_gamma"),
-                       ("proj_beta", "proj_beta")):
-        setattr(fusion, attr, Tensor(arrays[f"dvaf/{name}"]))
-    decoder = DecoderParams(width, int(meta["max_positions"]),
-                            Tensor(arrays["decoder/tok_emb"]),
-                            Tensor(arrays["decoder/pos_emb"]),
-                            Tensor(arrays["decoder/w_prefix"]), [])
-    i = 0
-    while f"decoder/block{i}/wq" in arrays:
-        block = DecoderBlock.__new__(DecoderBlock)
-        for attr in ("wq", "wk", "wv", "wo", "ff_w1", "ff_b1", "ff_w2", "ff_b2"):
-            setattr(block, attr, Tensor(arrays[f"decoder/block{i}/{attr}"]))
-        decoder.blocks.append(block)
-        i += 1
-    return Stage2Model(s1, fusion, decoder, vocab,
-                       use_dast_dvaf=bool(meta["use_dast_dvaf"]),
-                       use_dmsr=bool(meta["use_dmsr"]), lambda_=meta["lambda_"],
-                       fusion_mode=_FUSION_MODES[int(meta["fusion_mode_idx"])],
-                       use_probabilities=bool(meta["use_probabilities"]),
-                       max_report_len=int(meta["max_report_len"]))
+    def build(cfg, meta):
+        rng = np.random.default_rng(0)
+        return _stage2_model(cfg, Stage1Model.init(rng, cfg), Vocabulary(meta["vocab"]), rng)
+    return _load_model(arrays, "stage2", build)
 
 
 def generate_reports(model, samples, index):
     """Greedy reports for every sample, sorted by study id."""
+    _check_index(model, index)
     rows = []
     for s in sorted(samples, key=lambda x: x.study_id):
         v_const, z_bar, logits = model.visual_sequence(s)

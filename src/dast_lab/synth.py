@@ -15,6 +15,7 @@ plus raw little-endian float64 image blobs with JSON shape sidecars.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -183,9 +184,9 @@ def load_split(data_dir, split):
         row = json.loads(line)
         sidecar = json.loads((root / row["image_path"]).with_suffix(".json").read_text())
         blob = (root / row["image_path"]).read_bytes()
-        pixels = np.frombuffer(blob, dtype="<f8").reshape(sidecar["shape"])
-        if pixels.size != sidecar["shape"][0] * sidecar["shape"][1]:
+        if len(blob) != 8 * math.prod(sidecar["shape"]):
             raise ValueError(f"image blob size disagrees with sidecar for {row['study_id']}")
+        pixels = np.frombuffer(blob, dtype="<f8").reshape(sidecar["shape"])
         samples.append(ImageSample(pixels=pixels.copy(), study_id=row["study_id"],
                                    labels=row["labels"], report=row["report"]))
     return samples

@@ -29,7 +29,7 @@ _uid = itertools.count()
 
 
 def _check_finite(arr, op):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite value produced by op '{op}'")
 
 
@@ -47,15 +47,15 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "op", "uid",
                  "_prev", "_backward", "_released")
 
-    def __init__(self, data, requires_grad=False):
+    def __init__(self, data, requires_grad=False, op="leaf", prev=()):
         arr = np.asarray(data, dtype=np.float64)
-        _check_finite(arr, "leaf")
+        _check_finite(arr, op)
         self.data = arr
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self.op = "leaf"
+        self.op = op
         self.uid = next(_uid)
-        self._prev = ()
+        self._prev = prev
         self._backward = None
         self._released = False
 
@@ -95,7 +95,7 @@ class Tensor:
 
     def _accum(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
+            self.grad = np.zeros(self.data.shape)
         self.grad += g
 
     # -- elementwise / arithmetic ---------------------------------------------
@@ -274,17 +274,8 @@ def _as_tensor(x):
 
 def _node(data, inputs, op):
     """Wire an op output into the graph (records only when grads can flow)."""
-    _check_finite(data, op)
-    out = Tensor.__new__(Tensor)
-    out.data = np.asarray(data, dtype=np.float64)
-    out.grad = None
-    out.requires_grad = any(t.requires_grad for t in inputs)
-    out.op = op
-    out.uid = next(_uid)
-    out._prev = tuple(inputs) if out.requires_grad else ()
-    out._backward = None
-    out._released = False
-    return out
+    requires_grad = any(t.requires_grad for t in inputs)
+    return Tensor(data, requires_grad, op, tuple(inputs) if requires_grad else ())
 
 
 # -- matrix / sequence primitives ------------------------------------------------
@@ -460,6 +451,25 @@ def scaled_dot_attention(q, k, v):
 # -- backward / verification ------------------------------------------------------
 
 
+def _topological_order(root):
+    """Every node reachable from root, each after all of its inputs."""
+    topo = []
+    seen = set()
+    stack = [(root, False)]
+    push, pop = stack.append, stack.pop
+    while stack:
+        t, done = pop()
+        if done:
+            topo.append(t)
+        elif t not in seen:
+            seen.add(t)
+            push((t, True))
+            for p in t._prev:
+                if p not in seen:
+                    push((p, False))
+    return topo
+
+
 def backward(loss):
     """Fill .grad of every requires_grad tensor reachable from a scalar loss.
 
@@ -470,22 +480,7 @@ def backward(loss):
     if loss._released:
         raise GraphError("computation graph already consumed; "
                          "rebuild the forward pass before calling backward again")
-    topo = []
-    seen = set()
-    stack = [(loss, False)]
-    while stack:
-        t, done = stack.pop()
-        if done:
-            topo.append(t)
-            continue
-        if id(t) in seen:
-            continue
-        seen.add(id(t))
-        stack.append((t, True))
-        for p in t._prev:
-            if id(p) not in seen:
-                stack.append((p, False))
-
+    topo = _topological_order(loss)
     loss.grad = np.ones_like(loss.data)
     for t in reversed(topo):
         if t._backward is not None:
@@ -501,22 +496,7 @@ def computation_record(t):
 
     Topological: every output uid appears after all of its input uids.
     """
-    topo = []
-    seen = set()
-    stack = [(t, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            topo.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._prev:
-            if id(p) not in seen:
-                stack.append((p, False))
-    return [(n.op, tuple(p.uid for p in n._prev), n.uid) for n in topo]
+    return [(n.op, tuple(p.uid for p in n._prev), n.uid) for n in _topological_order(t)]
 
 
 def grad_check(f, params, eps=1e-5):

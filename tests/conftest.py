@@ -1,7 +1,17 @@
-import numpy as np
-import pytest
+import os
 
-from dast_lab.synth import SyntheticSpec, make_study
+# BLAS runs on one thread, as in perfbench/run.py, set before numpy first
+# loads it. Multi-threaded OpenBLAS rounds some larger products differently,
+# so the numbers the tests see would depend on the core count, and its worker
+# threads spin while they wait: on a 2-core VM with a second process busy, a
+# stage-2 training run took 97 s at the default two threads and 21 s at one.
+os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                   "MKL_NUM_THREADS": "1"})
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from dast_lab.synth import SyntheticSpec, make_study  # noqa: E402
 
 _ACCEPTANCE_RESULTS = []
 

@@ -7,7 +7,9 @@ stay fast.
 
 import json
 import math
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -286,6 +288,19 @@ def test_c06_stage2_memorization():
 # -- criterion 7: ablation ordering ----------------------------------------------------
 
 
+def _ablation_bleu(train, test, arrays, index, use_fusion, use_retrieval):
+    cfg2 = TrainConfig(base_lr=3e-3, warmup_steps=30, total_steps=300, batch_size=8,
+                       channels=32, depth=2, seed=13, stage=2, decoder_width=64,
+                       decoder_pretrain_steps=500, decoder_pretrain_lr=2e-3,
+                       max_positions=384, use_dast_dvaf=use_fusion,
+                       use_dmsr=use_retrieval)
+    model, _ = run_stage2(cfg2, train, arrays, index if use_retrieval else None)
+    rows = generate_reports(model, test, index if use_retrieval else None)
+    refs = {s.study_id: s.report for s in test}
+    corpus = Corpus([(r["study_id"], r["hypothesis"], refs[r["study_id"]]) for r in rows])
+    return bleu_n(corpus, 4)
+
+
 @pytest.fixture(scope="module")
 def ablation_scores(tmp_path_factory):
     root = tmp_path_factory.mktemp("ablation")
@@ -297,22 +312,14 @@ def ablation_scores(tmp_path_factory):
     s1, _ = run_stage1(cfg1, train)
     arrays = stage1_arrays(s1)
     index = build_index(s1, train)
-    refs = {s.study_id: s.report for s in test}
-    scores = {}
-    for name, use_fusion, use_retrieval in (("baseline", False, False),
-                                            ("mid", True, False),
-                                            ("full", True, True)):
-        cfg2 = TrainConfig(base_lr=3e-3, warmup_steps=30, total_steps=300, batch_size=8,
-                           channels=32, depth=2, seed=13, stage=2, decoder_width=64,
-                           decoder_pretrain_steps=500, decoder_pretrain_lr=2e-3,
-                           max_positions=384, use_dast_dvaf=use_fusion,
-                           use_dmsr=use_retrieval)
-        model, _ = run_stage2(cfg2, train, arrays, index if use_retrieval else None)
-        rows = generate_reports(model, test, index if use_retrieval else None)
-        corpus = Corpus([(r["study_id"], r["hypothesis"], refs[r["study_id"]])
-                         for r in rows])
-        scores[name] = bleu_n(corpus, 4)
-    return scores
+    arms = {"baseline": (False, False), "mid": (True, False), "full": (True, True)}
+    # The three arms share nothing after stage 1, so each trains in its own
+    # process. The workers inherit the one-thread BLAS setting of conftest.py
+    # through the environment, so every arm computes what it would in sequence.
+    with ProcessPoolExecutor(len(arms), mp_context=multiprocessing.get_context("spawn")) as pool:
+        runs = {name: pool.submit(_ablation_bleu, train, test, arrays, index, *flags)
+                for name, flags in arms.items()}
+        return {name: run.result() for name, run in runs.items()}
 
 
 @pytest.mark.slow

@@ -146,3 +146,29 @@ def test_corrupt_checkpoint_fails_cleanly(workspace, tmp_path, capsys):
                  "--out-index", str(tmp_path / "x.dmsr")])
     assert code == 1
     assert "magic" in capsys.readouterr().err
+
+
+def test_stage2_refuses_index_built_from_another_stage1_checkpoint(workspace, tmp_path, capsys):
+    root, data = workspace
+    other_cfg = tmp_path / "other.cfg"
+    other_cfg.write_text(FAST_STAGE1.replace("seed = 11", "seed = 12"))
+    other = tmp_path / "other.ckpt"
+    assert main(["train-stage1", "--data", str(data), "--config", str(other_cfg),
+                 "--out-ckpt", str(other)]) == 0
+    capsys.readouterr()
+    code = main(["train-stage2", "--data", str(data), "--stage1-ckpt", str(other),
+                 "--index", str(root / "train.dmsr"), "--config", str(root / "s2.cfg"),
+                 "--out-ckpt", str(tmp_path / "x.ckpt")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "stale index" in err and "does not match" in err
+    assert not (tmp_path / "x.ckpt").exists()
+
+
+def test_generate_names_the_wrong_checkpoint_kind(workspace, tmp_path, capsys):
+    root, data = workspace
+    code = main(["generate", "--data-split", str(data / "test.jsonl"),
+                 "--ckpt", str(root / "stage1.ckpt"), "--index", str(root / "train.dmsr"),
+                 "--out", str(tmp_path / "reports.jsonl")])
+    assert code == 1
+    assert "expected a stage2 checkpoint, got stage1" in capsys.readouterr().err

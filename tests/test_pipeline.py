@@ -255,7 +255,7 @@ def test_build_index_over_train_split():
     samples = make_samples(12, seed=13)
     cfg = TrainConfig(**{**SMOKE_CFG, "total_steps": 10, "warmup_steps": 2})
     model, _ = run_stage1(cfg, samples)
-    index = build_index(model, samples, lambda_default=0.5)
+    index = build_index(model, samples)
     assert len(index) == 12
     assert index.width == 16
     _, z_bar, _, logits = model.forward(samples[0])

@@ -118,3 +118,12 @@ def test_spec_validation():
 def test_missing_manifest_errors(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_split(tmp_path, "train")
+
+
+def test_truncated_image_blob_names_the_study(tmp_path):
+    gen_dataset(SyntheticSpec(n_studies=6, image_size=16, seed=2), tmp_path)
+    row = json.loads((tmp_path / "train.jsonl").read_text().splitlines()[1])
+    blob = tmp_path / row["image_path"]
+    blob.write_bytes(blob.read_bytes()[:-8])
+    with pytest.raises(ValueError, match=f"disagrees with sidecar for {row['study_id']}"):
+        load_split(tmp_path, "train")
