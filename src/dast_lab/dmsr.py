@@ -5,7 +5,7 @@ ties break toward earlier insertion. A deliberately boring brute-force scorer
 ships alongside the query path so the two can be checked against each other
 exactly, scores and tie-breaks included.
 
-On disk an index is one `store` container (magic b"DMSR2\\0", bit-exact
+On disk an index is one `store` container (magic b"DMSR3\\0", bit-exact
 round-trip). The JSON header holds the vector width C, the study ids and
 reports in insertion order, and the SHA-256 of the stage-1 arrays the index
 was built from; the arrays are the N x C pooled visual vectors "z_bar" and
@@ -22,7 +22,7 @@ import numpy as np
 from . import store
 from .ontology import NUM_CATEGORIES
 
-MAGIC = b"DMSR2\x00"
+MAGIC = b"DMSR3\x00"
 DEFAULT_LAMBDA = 0.5
 
 

@@ -10,7 +10,6 @@ changes again.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 
@@ -22,8 +21,7 @@ from .tensor import (
     gather_rows,
     layer_norm,
     logsumexp,
-    matmul,
-    softmax,
+    scaled_dot_attention,
     take_per_row,
 )
 
@@ -168,23 +166,16 @@ def decoder_hidden(params, x, past=None):
     n = x.data.shape[0]
     m = 0 if past is None or past[0][0] is None else past[0][0].data.shape[0]
     mask = _causal_mask(n, m) if n > 1 else None
-    scale = 1.0 / math.sqrt(params.width)
     for i, b in enumerate(params.blocks):
         h = layer_norm(x)
-        q, k = h @ b.wq, h @ b.wk
+        q, k, v = h @ b.wq, h @ b.wk, h @ b.wv
         if m:
             k = concat([past[i][0], k], axis=0)
-        scores = matmul(q, k.transpose()) * scale
-        if mask is not None:
-            scores = scores + mask
-        weights = softmax(scores, axis=1)
-        v = h @ b.wv
-        if m:
             v = concat([past[i][1], v], axis=0)
         if past is not None:
             past[i] = [k, v]
-        att = matmul(weights, v) @ b.wo
-        x = x + att
+        att, _ = scaled_dot_attention(q, k, v, mask)
+        x = x + att @ b.wo
         h2 = layer_norm(x)
         x = x + ((h2 @ b.ff_w1 + b.ff_b1).gelu() @ b.ff_w2 + b.ff_b2)
     return layer_norm(x)
@@ -251,15 +242,11 @@ def generate(params, vocab, retrieved_text, v_proj, max_len):
     The head [R_ret, SEP, prefix rows, BOS] runs once; each later step runs
     only the newest token's row against the cached keys and values.
     """
-    r_ids = [vocab.id(t) for t in split_words(retrieved_text)] if retrieved_text else []
-    prefix = (v_proj @ params.w_prefix).data
-    head = len(r_ids) + 1 + prefix.shape[0] + 1
-    if head > params.max_positions:
-        raise ValueError(f"assembled sequence length {head} exceeds "
-                         f"maximum {params.max_positions}")
+    # an empty target leaves the input [R_ret, SEP, prefix rows, BOS]
+    x = Tensor(assemble_prompt(params, vocab, retrieved_text, v_proj,
+                               tokenize("", vocab)).embeddings.data)
+    head = x.data.shape[0]
     tok, pos = params.tok_emb.data, params.pos_emb.data
-    x = Tensor(np.concatenate([tok[r_ids + [SEP]], prefix, tok[[BOS]]], axis=0)
-               + pos[:head])
     past = [[None, None] for _ in params.blocks]
     out_ids = []
     while len(out_ids) < max_len:

@@ -50,7 +50,3 @@ NEGATION_CUES = (
     ("negative", "for"),
     ("free", "of"),
 )
-
-
-def category_index(name):
-    return CATEGORIES.index(name)

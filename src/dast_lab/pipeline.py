@@ -7,7 +7,7 @@ being a pretrained language model), then freezes everything except the
 projection matrix and its layer-norm affine and optimizes the language
 modeling loss, optionally with retrieved exemplar prompts.
 
-A checkpoint is one `store` container (magic b"DLCKPT2"): its named float64
+A checkpoint is one `store` container (magic b"DLCKPT3"): its named float64
 tensors plus one "meta" dict in the JSON header, holding the model kind
 ("stage1" or "stage2"), the dims and config values the model is built from,
 and, for stage 2, the vocabulary. Loading builds the model through its own
@@ -44,7 +44,7 @@ from .metrics import _prf
 from .stage1 import DastBank, HashTextEncoder, classify, refine_dasts, stage1_loss
 from .tensor import NonFiniteError, Tensor, backward
 
-CKPT_MAGIC = b"DLCKPT2"
+CKPT_MAGIC = b"DLCKPT3"
 
 
 class CheckpointError(ValueError):

@@ -14,7 +14,7 @@ import hashlib
 import numpy as np
 
 from .encoder import INIT_SCALE
-from .ontology import CATEGORIES, NUM_CATEGORIES
+from .ontology import NUM_CATEGORIES
 from .tensor import (
     Tensor,
     concat,
@@ -32,7 +32,6 @@ class DastBank:
         self.tokens = tokens
         self.head_w = head_w
         self.head_b = head_b
-        self.category_names = CATEGORIES
 
     @staticmethod
     def init(rng, channels):

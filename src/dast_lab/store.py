@@ -1,14 +1,16 @@
 """The one on-disk container for checkpoints and exemplar indexes.
 
 Layout (little-endian):
-    magic   caller-chosen bytes (b"DLCKPT2" for checkpoints, b"DMSR2\\0" for indexes)
+    magic   caller-chosen bytes (b"DLCKPT3" for checkpoints, b"DMSR3\\0" for indexes)
     u32     header length H
     H bytes UTF-8 JSON header, keys sorted: the caller's plain metadata plus
             "arrays", the ordered [name, shape] list of the stored arrays
     then each listed array's float64 values in C order, in list order
+    32 bytes SHA-256 of every byte before it
 
 The header holds no path, time or host, so identical inputs give identical
-bytes. Every parse failure raises the caller's error class.
+bytes. Every parse failure, and any change to a byte the checksum covers,
+raises the caller's error class.
 """
 
 from __future__ import annotations
@@ -22,15 +24,20 @@ from pathlib import Path
 
 import numpy as np
 
+_DIGEST_SIZE = 32  # SHA-256
+
 
 def write(path, magic, meta, arrays):
     """Write `meta` (a JSON-able dict) and named arrays; atomic via os.replace."""
     arrays = {name: np.asarray(a, dtype="<f8") for name, a in arrays.items()}
     header = {**meta, "arrays": [[name, list(a.shape)] for name, a in arrays.items()]}
     head = json.dumps(header, sort_keys=True).encode("utf-8")
+    body = b"".join([magic, struct.pack("<I", len(head)), head,
+                     *(a.tobytes() for a in arrays.values())])
     tmp = Path(f"{path}.tmp")
-    tmp.write_bytes(b"".join([magic, struct.pack("<I", len(head)), head,
-                              *(a.tobytes() for a in arrays.values())]))
+    with open(tmp, "wb") as fh:
+        fh.write(body)
+        fh.write(hashlib.sha256(body).digest())
     os.replace(tmp, path)
 
 
@@ -57,10 +64,13 @@ def read(path, magic, error):
         raise error(f"corrupt header: {exc}") from exc
     size = 8 * sum(math.prod(shape) for shape in shapes.values())
     pos = start + head_len
-    if len(blob) < pos + size:
-        raise error(f"truncated file: {len(blob) - pos} of {size} data bytes")
-    if len(blob) > pos + size:
-        raise error(f"trailing bytes: {len(blob) - pos - size} after the last array")
+    if len(blob) < pos + size + _DIGEST_SIZE:
+        raise error(f"truncated file: {len(blob) - pos} of {size} data bytes "
+                    f"and the {_DIGEST_SIZE}-byte checksum")
+    if len(blob) > pos + size + _DIGEST_SIZE:
+        raise error(f"trailing bytes: {len(blob) - pos - size - _DIGEST_SIZE} after the checksum")
+    if hashlib.sha256(memoryview(blob)[:-_DIGEST_SIZE]).digest() != blob[-_DIGEST_SIZE:]:
+        raise error("checksum mismatch: the file's SHA-256 trailer does not match its contents")
     arrays = {}
     for name, shape in shapes.items():
         n = math.prod(shape)

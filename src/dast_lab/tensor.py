@@ -1,9 +1,11 @@
 """Dense float64 tensors with tape-based reverse-mode autodiff.
 
 Everything in this repo computes on these tensors. The design is the usual
-micrograd-style graph: each op wires a backward closure onto its output, and
-``backward(loss)`` replays adjoints in reverse topological order. Compute is
-float64 throughout so finite-difference gradient checks are tight.
+micrograd-style graph: each primitive computes its forward value and hands
+``_node`` one vector-Jacobian product (VJP) per input; ``_node`` alone
+decides whether to record the op, and ``backward(loss)`` runs the recorded
+VJPs in reverse topological order. Compute is float64 throughout so
+finite-difference gradient checks are tight.
 
 Any non-finite value produced by a primitive aborts immediately with the name
 of the offending op (silent NaN would poison every training test downstream).
@@ -44,8 +46,7 @@ def _unbroadcast(g, shape):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "op", "uid",
-                 "_prev", "_backward", "_released")
+    __slots__ = ("data", "grad", "requires_grad", "op", "uid", "_prev", "_released")
 
     def __init__(self, data, requires_grad=False, op="leaf", prev=()):
         arr = np.asarray(data, dtype=np.float64)
@@ -55,19 +56,10 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.op = op
         self.uid = next(_uid)
-        self._prev = prev
-        self._backward = None
+        self._prev = prev  # (input, vjp) pairs of a recorded op, else ()
         self._released = False
 
     # -- construction helpers -------------------------------------------------
-
-    @staticmethod
-    def zeros(*shape, requires_grad=False):
-        return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-    @staticmethod
-    def ones(*shape, requires_grad=False):
-        return Tensor(np.ones(shape), requires_grad=requires_grad)
 
     @staticmethod
     def randn(rng, shape, scale=1.0, requires_grad=False):
@@ -77,15 +69,10 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self):
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else self._scalar_err()
-
-    def _scalar_err(self):
-        raise GraphError(f"item() expects a scalar tensor, got shape {self.data.shape}")
+        if self.data.size != 1:
+            raise GraphError(f"item() expects a scalar tensor, got shape {self.data.shape}")
+        return float(self.data.reshape(-1)[0])
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self.op}, requires_grad={self.requires_grad})"
@@ -102,29 +89,17 @@ class Tensor:
 
     def __add__(self, other):
         other = _as_tensor(other)
-        out = _node(self.data + other.data, (self, other), "add")
-        if out._prev:
-            def bwd():
-                if self.requires_grad:
-                    self._accum(_unbroadcast(out.grad, self.data.shape))
-                if other.requires_grad:
-                    other._accum(_unbroadcast(out.grad, other.data.shape))
-            out._backward = bwd
-        return out
+        return _node(self.data + other.data, "add",
+                     (self, lambda g: _unbroadcast(g, self.data.shape)),
+                     (other, lambda g: _unbroadcast(g, other.data.shape)))
 
     __radd__ = __add__
 
     def __mul__(self, other):
         other = _as_tensor(other)
-        out = _node(self.data * other.data, (self, other), "mul")
-        if out._prev:
-            def bwd():
-                if self.requires_grad:
-                    self._accum(_unbroadcast(out.grad * other.data, self.data.shape))
-                if other.requires_grad:
-                    other._accum(_unbroadcast(out.grad * self.data, other.data.shape))
-            out._backward = bwd
-        return out
+        return _node(self.data * other.data, "mul",
+                     (self, lambda g: _unbroadcast(g * other.data, self.data.shape)),
+                     (other, lambda g: _unbroadcast(g * self.data, other.data.shape)))
 
     __rmul__ = __mul__
 
@@ -149,13 +124,7 @@ class Tensor:
         e = float(exponent)
         with np.errstate(all="ignore"):  # non-finite results raise below anyway
             data = self.data ** e
-        out = _node(data, (self,), f"pow{e}")
-        if out._prev:
-            def bwd():
-                if self.requires_grad:
-                    self._accum(out.grad * e * self.data ** (e - 1.0))
-            out._backward = bwd
-        return out
+        return _node(data, f"pow{e}", (self, lambda g: g * e * self.data ** (e - 1.0)))
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -163,54 +132,26 @@ class Tensor:
     def exp(self):
         with np.errstate(all="ignore"):
             data = np.exp(self.data)
-        out = _node(data, (self,), "exp")
-        if out._prev:
-            def bwd():
-                if self.requires_grad:
-                    self._accum(out.grad * out.data)
-            out._backward = bwd
-        return out
+        return _node(data, "exp", (self, lambda g: g * data))
 
     def log(self):
         with np.errstate(all="ignore"):
             data = np.log(self.data)
-        out = _node(data, (self,), "log")
-        if out._prev:
-            def bwd():
-                if self.requires_grad:
-                    self._accum(out.grad / self.data)
-            out._backward = bwd
-        return out
+        return _node(data, "log", (self, lambda g: g / self.data))
 
     def tanh(self):
-        out = _node(np.tanh(self.data), (self,), "tanh")
-        if out._prev:
-            def bwd():
-                if self.requires_grad:
-                    self._accum(out.grad * (1.0 - out.data ** 2))
-            out._backward = bwd
-        return out
+        data = np.tanh(self.data)
+        return _node(data, "tanh", (self, lambda g: g * (1.0 - data ** 2)))
 
     def sigmoid(self):
         x = self.data
-        s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-        out = _node(s, (self,), "sigmoid")
-        if out._prev:
-            def bwd():
-                if self.requires_grad:
-                    self._accum(out.grad * out.data * (1.0 - out.data))
-            out._backward = bwd
-        return out
+        z = np.exp(-np.abs(x))
+        s = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+        return _node(s, "sigmoid", (self, lambda g: g * s * (1.0 - s)))
 
     def relu(self):
-        out = _node(np.maximum(self.data, 0.0), (self,), "relu")
-        if out._prev:
-            def bwd():
-                if self.requires_grad:
-                    self._accum(out.grad * (self.data > 0.0))
-            out._backward = bwd
-        return out
+        return _node(np.maximum(self.data, 0.0), "relu",
+                     (self, lambda g: g * (self.data > 0.0)))
 
     def gelu(self):
         # tanh approximation; smooth everywhere, which keeps grad checks clean
@@ -218,50 +159,31 @@ class Tensor:
         x = self.data
         inner = c * (x + 0.044715 * x ** 3)
         t = np.tanh(inner)
-        out = _node(0.5 * x * (1.0 + t), (self,), "gelu")
-        if out._prev:
-            def bwd():
-                if self.requires_grad:
-                    d_inner = c * (1.0 + 3 * 0.044715 * x ** 2)
-                    self._accum(out.grad * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * d_inner))
-            out._backward = bwd
-        return out
+
+        def vjp(g):
+            d_inner = c * (1.0 + 3 * 0.044715 * x ** 2)
+            return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * d_inner)
+        return _node(0.5 * x * (1.0 + t), "gelu", (self, vjp))
 
     # -- shape ops --------------------------------------------------------------
 
     def reshape(self, *shape):
-        out = _node(self.data.reshape(shape), (self,), "reshape")
-        if out._prev:
-            def bwd():
-                if self.requires_grad:
-                    self._accum(out.grad.reshape(self.data.shape))
-            out._backward = bwd
-        return out
+        return _node(self.data.reshape(shape), "reshape",
+                     (self, lambda g: g.reshape(self.data.shape)))
 
     def transpose(self):
         if self.data.ndim != 2:
             raise ValueError(f"transpose expects a 2-d tensor, got shape {self.data.shape}")
-        out = _node(self.data.T.copy(), (self,), "transpose")
-        if out._prev:
-            def bwd():
-                if self.requires_grad:
-                    self._accum(out.grad.T)
-            out._backward = bwd
-        return out
+        return _node(self.data.T.copy(), "transpose", (self, lambda g: g.T))
 
     # -- reductions ---------------------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
-        out = _node(self.data.sum(axis=axis, keepdims=keepdims), (self,), "sum")
-        if out._prev:
-            def bwd():
-                if self.requires_grad:
-                    g = out.grad
-                    if axis is not None and not keepdims:
-                        g = np.expand_dims(g, axis)
-                    self._accum(np.broadcast_to(g, self.data.shape).copy())
-            out._backward = bwd
-        return out
+        def vjp(g):
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            return np.broadcast_to(g, self.data.shape)
+        return _node(self.data.sum(axis=axis, keepdims=keepdims), "sum", (self, vjp))
 
     def mean(self, axis=None, keepdims=False):
         n = self.data.size if axis is None else self.data.shape[axis]
@@ -272,10 +194,19 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _node(data, inputs, op):
-    """Wire an op output into the graph (records only when grads can flow)."""
-    requires_grad = any(t.requires_grad for t in inputs)
-    return Tensor(data, requires_grad, op, tuple(inputs) if requires_grad else ())
+def _node(data, op, *edges):
+    """Wrap an op's output; edges are its (input, vjp) pairs in input order.
+
+    Nothing is recorded unless some input requires grad. Otherwise the edges
+    become the output's _prev, and backward adds vjp(out.grad) to the .grad
+    of each input that requires grad at that time. The edges are kept as
+    given rather than wrapped in a closure per node: on a stage-1 step that
+    closure doubled the garbage collector's passes.
+    """
+    for t, _ in edges:
+        if t.requires_grad:
+            return Tensor(data, True, op, edges)
+    return Tensor(data, False, op)
 
 
 # -- matrix / sequence primitives ------------------------------------------------
@@ -287,15 +218,8 @@ def matmul(a, b):
         raise ValueError(f"matmul expects 2-d tensors, got {a.data.shape} @ {b.data.shape}")
     if a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul inner dimensions disagree: {a.data.shape} @ {b.data.shape}")
-    out = _node(a.data @ b.data, (a, b), "matmul")
-    if out._prev:
-        def bwd():
-            if a.requires_grad:
-                a._accum(out.grad @ b.data.T)
-            if b.requires_grad:
-                b._accum(a.data.T @ out.grad)
-        out._backward = bwd
-    return out
+    return _node(a.data @ b.data, "matmul",
+                 (a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g))
 
 
 def softmax(x, axis=-1):
@@ -303,14 +227,7 @@ def softmax(x, axis=-1):
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
-    out = _node(y, (x,), "softmax")
-    if out._prev:
-        def bwd():
-            if x.requires_grad:
-                g = out.grad
-                x._accum(y * (g - (g * y).sum(axis=axis, keepdims=True)))
-        out._backward = bwd
-    return out
+    return _node(y, "softmax", (x, lambda g: y * (g - (g * y).sum(axis=axis, keepdims=True))))
 
 
 def logsumexp(x, axis):
@@ -318,14 +235,8 @@ def logsumexp(x, axis):
     m = x.data.max(axis=axis, keepdims=True)
     e = np.exp(x.data - m)
     s = e.sum(axis=axis, keepdims=True)
-    out = _node(np.squeeze(np.log(s) + m, axis=axis), (x,), "logsumexp")
-    if out._prev:
-        def bwd():
-            if x.requires_grad:
-                g = np.expand_dims(out.grad, axis)
-                x._accum(g * e / s)
-        out._backward = bwd
-    return out
+    return _node(np.squeeze(np.log(s) + m, axis=axis), "logsumexp",
+                 (x, lambda g: np.expand_dims(g, axis) * e / s))
 
 
 def layer_norm(x, gamma=None, beta=None, eps=1e-5):
@@ -341,67 +252,51 @@ def layer_norm(x, gamma=None, beta=None, eps=1e-5):
     xhat = (x.data - mu) * inv
     gdata = gamma.data if gamma is not None else 1.0
     bdata = beta.data if beta is not None else 0.0
-    inputs = [x] + [t for t in (gamma, beta) if t is not None]
-    out = _node(xhat * gdata + bdata, tuple(inputs), "layer_norm")
-    if out._prev:
-        def bwd():
-            g = out.grad
-            if gamma is not None and gamma.requires_grad:
-                gamma._accum((g * xhat).reshape(-1, d).sum(axis=0).reshape(gamma.data.shape))
-            if beta is not None and beta.requires_grad:
-                beta._accum(g.reshape(-1, d).sum(axis=0).reshape(beta.data.shape))
-            if x.requires_grad:
-                gx = g * gdata
-                x._accum(inv * (gx - gx.mean(axis=-1, keepdims=True)
-                                - xhat * (gx * xhat).mean(axis=-1, keepdims=True)))
-        out._backward = bwd
-    return out
+
+    def x_vjp(g):
+        gx = g * gdata
+        return inv * (gx - gx.mean(axis=-1, keepdims=True)
+                      - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+    edges = [(x, x_vjp)]
+    if gamma is not None:
+        edges.append((gamma, lambda g: (g * xhat).reshape(-1, d).sum(axis=0)
+                      .reshape(gamma.data.shape)))
+    if beta is not None:
+        edges.append((beta, lambda g: g.reshape(-1, d).sum(axis=0).reshape(beta.data.shape)))
+    return _node(xhat * gdata + bdata, "layer_norm", *edges)
 
 
 def concat(tensors, axis=0):
     tensors = list(tensors)
-    out = _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), "concat")
-    if out._prev:
-        sizes = [t.data.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
+    data = np.concatenate([t.data for t in tensors], axis=axis)
+    edges, lo = [], 0
+    for t in tensors:
+        hi = lo + t.data.shape[axis]
+        edges.append((t, lambda g, lo=lo, hi=hi: g[(slice(None),) * (axis % g.ndim)
+                                                   + (slice(lo, hi),)]))
+        lo = hi
+    return _node(data, "concat", *edges)
 
-        def bwd():
-            for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-                if t.requires_grad:
-                    idx = [slice(None)] * out.grad.ndim
-                    idx[axis] = slice(lo, hi)
-                    t._accum(out.grad[tuple(idx)])
-        out._backward = bwd
-    return out
+
+def _scatter_add(like, index, g):
+    """Zeros shaped like `like` with g added at `index`; repeats accumulate."""
+    full = np.zeros_like(like)
+    np.add.at(full, index, g)
+    return full
 
 
 def gather_rows(x, indices):
     """Select rows of a 2-d tensor; duplicate indices accumulate gradient."""
     idx = np.asarray(indices, dtype=np.int64)
-    out = _node(x.data[idx], (x,), "gather_rows")
-    if out._prev:
-        def bwd():
-            if x.requires_grad:
-                g = np.zeros_like(x.data)
-                np.add.at(g, idx, out.grad)
-                x._accum(g)
-        out._backward = bwd
-    return out
+    return _node(x.data[idx], "gather_rows", (x, lambda g: _scatter_add(x.data, idx, g)))
 
 
 def take_per_row(x, cols):
     """out[i] = x[i, cols[i]] for a 2-d tensor."""
     cols = np.asarray(cols, dtype=np.int64)
     rows = np.arange(x.data.shape[0])
-    out = _node(x.data[rows, cols], (x,), "take_per_row")
-    if out._prev:
-        def bwd():
-            if x.requires_grad:
-                g = np.zeros_like(x.data)
-                np.add.at(g, (rows, cols), out.grad)
-                x._accum(g)
-        out._backward = bwd
-    return out
+    return _node(x.data[rows, cols], "take_per_row",
+                 (x, lambda g: _scatter_add(x.data, (rows, cols), g)))
 
 
 def decay_scan(decay, u):
@@ -418,33 +313,37 @@ def decay_scan(decay, u):
     for i in range(u.data.shape[0]):
         state = a * state + u.data[i]
         h[i] = state
-    out = _node(h, (decay, u), "decay_scan")
-    if out._prev:
-        def bwd():
-            g = out.grad
-            gbar = np.empty_like(g)
-            acc = np.zeros_like(a)
-            for i in range(g.shape[0] - 1, -1, -1):
-                acc = g[i] + a * acc
-                gbar[i] = acc
-            if u.requires_grad:
-                u._accum(gbar)
-            if decay.requires_grad:
-                # dL/da_c = sum_i gbar[i] * h[i-1], h[0-1] = 0
-                decay._accum((gbar[1:] * h[:-1]).sum(axis=0))
-        out._backward = bwd
-    return out
+
+    def reverse_scan(g):
+        gbar = np.empty_like(g)
+        acc = np.zeros_like(a)
+        for i in range(g.shape[0] - 1, -1, -1):
+            acc = g[i] + a * acc
+            gbar[i] = acc
+        return gbar
+
+    # vjps run in input order, so decay's leaves its reverse scan for u's
+    scanned = []
+
+    def decay_vjp(g):
+        scanned.append(reverse_scan(g))
+        return (scanned[0][1:] * h[:-1]).sum(axis=0)  # dL/da_c = sum_i gbar[i] * h[i-1]
+    return _node(h, "decay_scan", (decay, decay_vjp),
+                 (u, lambda g: scanned.pop() if scanned else reverse_scan(g)))
 
 
-def scaled_dot_attention(q, k, v):
-    """softmax(q kᵀ / sqrt(C)) v. Returns (output, weights); weight rows sum to 1."""
+def scaled_dot_attention(q, k, v, mask=None):
+    """softmax(q kᵀ / sqrt(C) [+ mask]) v. Returns (output, weights); weight rows sum to 1."""
     if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
         raise ValueError("scaled_dot_attention expects 2-d q, k, v")
     if q.data.shape[1] != k.data.shape[1] or k.data.shape[0] != v.data.shape[0]:
         raise ValueError(f"scaled_dot_attention shapes disagree: "
                          f"q {q.data.shape}, k {k.data.shape}, v {v.data.shape}")
     scale = 1.0 / math.sqrt(q.data.shape[1])
-    weights = softmax(matmul(q, k.transpose()) * scale, axis=1)
+    scores = matmul(q, k.transpose()) * scale
+    if mask is not None:
+        scores = scores + mask
+    weights = softmax(scores, axis=1)
     return matmul(weights, v), weights
 
 
@@ -464,7 +363,7 @@ def _topological_order(root):
         elif t not in seen:
             seen.add(t)
             push((t, True))
-            for p in t._prev:
+            for p, _ in t._prev:
                 if p not in seen:
                     push((p, False))
     return topo
@@ -483,11 +382,11 @@ def backward(loss):
     topo = _topological_order(loss)
     loss.grad = np.ones_like(loss.data)
     for t in reversed(topo):
-        if t._backward is not None:
-            t._backward()
+        for p, vjp in t._prev:
+            if p.requires_grad:
+                p._accum(vjp(t.grad))
     for t in topo:
         t._released = True
-        t._backward = None
         t._prev = ()
 
 
@@ -496,7 +395,7 @@ def computation_record(t):
 
     Topological: every output uid appears after all of its input uids.
     """
-    return [(n.op, tuple(p.uid for p in n._prev), n.uid) for n in _topological_order(t)]
+    return [(n.op, tuple(p.uid for p, _ in n._prev), n.uid) for n in _topological_order(t)]
 
 
 def grad_check(f, params, eps=1e-5):

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dast_lab
 from dast_lab.cli import main
 from dast_lab.dmsr import brute_force_oracle, load as load_index
 
@@ -172,3 +176,18 @@ def test_generate_names_the_wrong_checkpoint_kind(workspace, tmp_path, capsys):
                  "--out", str(tmp_path / "reports.jsonl")])
     assert code == 1
     assert "expected a stage2 checkpoint, got stage1" in capsys.readouterr().err
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_import_pins_blas_to_one_thread_unless_set(preset):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = str(Path(dast_lab.__file__).parents[1])
+    if preset is not None:
+        env["OMP_NUM_THREADS"] = preset
+    code = "import os, dast_lab; print(*(os.environ[v] for v in %r))" % (BLAS_VARS,)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert out == ["1", preset or "1", "1"]

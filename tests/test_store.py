@@ -70,10 +70,8 @@ def test_corrupt_files_raise_only_the_format_error(files, name, data):
     bad = bytearray(blob)
     bad[bit // 8] ^= 1 << (bit % 8)
     path.write_bytes(bytes(bad))
-    try:
+    with pytest.raises(error):
         loader(path)
-    except error:
-        pass
 
 
 def test_checkpoints_round_trip_bit_exact_through_init(files):
@@ -102,12 +100,21 @@ def test_rewrite_is_byte_identical_and_leaves_no_temp_file(files, tmp_path):
 
 def test_old_format_files_fail_on_the_magic(tmp_path):
     old_ckpt, old_index = tmp_path / "old.ckpt", tmp_path / "old.dmsr"
-    old_ckpt.write_bytes(b"DLCKPT1" + struct.pack("<I", 0))
-    old_index.write_bytes(b"DMSR1\x00" + struct.pack("<II", 4, 0))
-    with pytest.raises(CheckpointError, match="magic"):
-        load_checkpoint(old_ckpt)
-    with pytest.raises(dmsr.IndexFormatError, match="magic"):
-        dmsr.load(old_index)
+    for ckpt_magic, index_magic in ((b"DLCKPT1", b"DMSR1\x00"), (b"DLCKPT2", b"DMSR2\x00")):
+        old_ckpt.write_bytes(ckpt_magic + struct.pack("<I", 0))
+        old_index.write_bytes(index_magic + struct.pack("<II", 4, 0))
+        with pytest.raises(CheckpointError, match="magic"):
+            load_checkpoint(old_ckpt)
+        with pytest.raises(dmsr.IndexFormatError, match="magic"):
+            dmsr.load(old_index)
+
+
+def test_flipped_data_bit_fails_the_checksum(files, tmp_path):
+    blob = bytearray((files[0] / "s1.ckpt").read_bytes())
+    blob[-40] ^= 1  # the last float's low byte, inside the data
+    (tmp_path / "flip.ckpt").write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="checksum"):
+        load_checkpoint(tmp_path / "flip.ckpt")
 
 
 def test_wrong_kind_shape_and_nonfinite_tensors_are_named(files):

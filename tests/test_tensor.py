@@ -328,3 +328,89 @@ def test_logsumexp_matches_reference():
     out = logsumexp(Tensor(x), axis=1)
     ref = np.log(np.exp(x - x.max(axis=1, keepdims=True)).sum(axis=1)) + x.max(axis=1)
     assert np.allclose(out.data, ref, atol=1e-12)
+
+
+# -- every primitive on its own ----------------------------------------------------
+
+
+def _normal(*shape):
+    return lambda r: r.normal(size=shape)
+
+
+def _positive(*shape):
+    return lambda r: r.uniform(0.5, 2.0, shape)
+
+
+def _away_from_zero(*shape):
+    return lambda r: r.choice([-1.0, 1.0], shape) * r.uniform(0.2, 1.0, shape)
+
+
+# name -> (input factories, op); every input requires grad in the gradient check
+PRIMITIVES = {
+    "add (n,1)+(c,)": ([_normal(3, 1), _normal(4)], lambda a, b: a + b),
+    "mul (n,1)*(c,)": ([_normal(3, 1), _normal(4)], lambda a, b: a * b),
+    "sub": ([_normal(3, 4), _normal(4)], lambda a, b: a - b),
+    "rsub": ([_normal(3, 4)], lambda a: 2.0 - a),
+    "truediv": ([_normal(3, 4), _positive(3, 1)], lambda a, b: a / b),
+    "rtruediv": ([_positive(3, 4)], lambda a: 2.0 / a),
+    "neg": ([_normal(3, 4)], lambda a: -a),
+    "pow -1": ([_positive(3, 4)], lambda a: a ** -1),
+    "pow 0.5": ([_positive(3, 4)], lambda a: a ** 0.5),
+    "pow 3": ([_normal(3, 4)], lambda a: a ** 3),
+    "exp": ([_normal(3, 4)], lambda a: a.exp()),
+    "log": ([_positive(3, 4)], lambda a: a.log()),
+    "tanh": ([_normal(3, 4)], lambda a: a.tanh()),
+    "sigmoid": ([_normal(3, 4)], lambda a: a.sigmoid()),
+    "relu away from 0": ([_away_from_zero(3, 4)], lambda a: a.relu()),
+    "gelu": ([_normal(3, 4)], lambda a: a.gelu()),
+    "reshape": ([_normal(3, 4)], lambda a: a.reshape(2, 6)),
+    "transpose": ([_normal(3, 4)], lambda a: a.transpose()),
+    "sum": ([_normal(3, 4)], lambda a: a.sum()),
+    "sum axis 0": ([_normal(3, 4)], lambda a: a.sum(axis=0)),
+    "sum axis 1 keepdims": ([_normal(3, 4)], lambda a: a.sum(axis=1, keepdims=True)),
+    "mean axis 1": ([_normal(3, 4)], lambda a: a.mean(axis=1)),
+    "mean axis 0 keepdims": ([_normal(3, 4)], lambda a: a.mean(axis=0, keepdims=True)),
+    "matmul": ([_normal(3, 4), _normal(4, 2)], matmul),
+    "softmax axis 0": ([_normal(3, 4)], lambda a: softmax(a, axis=0)),
+    "logsumexp axis 0": ([_normal(3, 4)], lambda a: logsumexp(a, axis=0)),
+    "layer_norm affine": ([_normal(3, 4), _normal(4), _normal(4)], layer_norm),
+    "concat axis 1 repeated": ([_normal(3, 2), _normal(3, 4)],
+                               lambda a, b: T.concat([a, b, a], axis=1)),
+    "gather_rows": ([_normal(4, 3)], lambda a: T.gather_rows(a, [0, 2, 2])),
+    "take_per_row": ([_normal(3, 5)], lambda a: T.take_per_row(a, [1, 0, 4])),
+    "decay_scan": ([lambda r: r.uniform(0.2, 0.8, 4), _normal(5, 4)], decay_scan),
+}
+
+
+def _primitive_inputs(name, requires_grad=True):
+    factories, _ = PRIMITIVES[name]
+    r = rng(20)
+    return [Tensor(make(r), requires_grad=requires_grad) for make in factories]
+
+
+def _weighted_sum(out):
+    # a fixed random weight per output element, so every output entry counts
+    return (out * Tensor(rng(21).normal(size=out.data.shape))).sum()
+
+
+@pytest.mark.parametrize("name", sorted(PRIMITIVES))
+def test_each_primitive_passes_grad_check(name):
+    op = PRIMITIVES[name][1]
+    assert grad_check(lambda ps: _weighted_sum(op(*ps)), _primitive_inputs(name)) < 1e-6
+
+
+@pytest.mark.parametrize("name", sorted(PRIMITIVES))
+def test_op_on_inputs_without_grad_records_nothing(name):
+    out = PRIMITIVES[name][1](*_primitive_inputs(name, requires_grad=False))
+    assert out._prev == () and not out.requires_grad
+
+
+@pytest.mark.parametrize("name", sorted(n for n, (fs, _) in PRIMITIVES.items() if len(fs) > 1))
+def test_frozen_input_of_a_recorded_op_gets_no_grad(name):
+    op = PRIMITIVES[name][1]
+    for frozen in range(len(PRIMITIVES[name][0])):
+        inputs = _primitive_inputs(name)
+        inputs[frozen].requires_grad = False
+        backward(_weighted_sum(op(*inputs)))
+        for i, t in enumerate(inputs):
+            assert (t.grad is None) == (i == frozen), (name, frozen, i)
