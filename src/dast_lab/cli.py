@@ -38,18 +38,17 @@ def _env_seed():
 
 
 def _train_config(args, stage, extra=None):
-    raw = parse_config_file(args.config) if args.config else {}
-    overrides = {"stage": stage}
-    overrides.update(extra or {})
-    if "seed" not in raw and "seed" not in overrides:
-        env = _env_seed()
-        if env is not None:
-            overrides["seed"] = env
-    if "patch_size" not in raw and "patch_size" not in overrides:
-        info = Path(args.data) / "dataset.json"
-        if info.exists():
-            overrides["patch_size"] = json.loads(info.read_text())["patch_size"]
-    return make_config(args.config, overrides=overrides)
+    """Flag over config key over fallback (DAST_LAB_SEED, dataset.json), resolved once."""
+    settings = {}
+    if "DAST_LAB_SEED" in os.environ:  # parsed only when no config key overrides it
+        settings["seed"] = os.environ["DAST_LAB_SEED"]
+    info = Path(args.data) / "dataset.json"
+    if info.exists():
+        settings["patch_size"] = json.loads(info.read_text())["patch_size"]
+    if args.config:
+        settings.update(parse_config_file(args.config))
+    settings.update(stage=stage, **(extra or {}))
+    return make_config(overrides=settings)
 
 
 def cmd_gen_data(args):
@@ -108,7 +107,7 @@ def cmd_train_stage2(args):
 
 def cmd_generate(args):
     model = stage2_from_arrays(load_checkpoint(args.ckpt))
-    if model.use_dmsr and not args.index:
+    if model.cfg.use_dmsr and not args.index:
         raise ValueError("checkpoint was trained with retrieval: --index is required")
     index = dmsr.load(args.index) if args.index else None
     samples = load_manifest_path(args.data_split)

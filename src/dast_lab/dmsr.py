@@ -1,9 +1,9 @@
 """Exemplar retrieval over pooled visual vectors and disease logits.
 
-Each stored study is scored as cos(z_bar, z_bar_k) + lambda * cos(l, l_k);
-ties break toward earlier insertion. A deliberately boring brute-force scorer
-ships alongside the query path so the two can be checked against each other
-exactly, scores and tie-breaks included.
+Each stored study is scored as cos(z_bar, z_bar_k) + lambda * cos(l, l_k), l
+the raw disease logits; ties break toward earlier insertion. A deliberately
+boring brute-force scorer ships alongside the query path so the two can be
+checked against each other exactly, scores and tie-breaks included.
 
 On disk an index is one `store` container (magic b"DMSR3\\0", bit-exact
 round-trip). The JSON header holds the vector width C, the study ids and
@@ -87,16 +87,11 @@ def add_exemplar(index, record):
     index._ids.add(record.study_id)
 
 
-def _score(record, z_bar, logits, lam, use_probabilities):
-    if use_probabilities:
-        a = 1.0 / (1.0 + np.exp(-logits))
-        b = 1.0 / (1.0 + np.exp(-record.logits))
-    else:
-        a, b = logits, record.logits
-    return _cosine(z_bar, record.z_bar) + lam * _cosine(a, b)
+def _score(record, z_bar, logits, lam):
+    return _cosine(z_bar, record.z_bar) + lam * _cosine(logits, record.logits)
 
 
-def query(index, z_bar, logits, lam=None, k=1, exclude_id=None, use_probabilities=False):
+def query(index, z_bar, logits, lam=None, k=1, exclude_id=None):
     """Top-k (study_id, score), best first; earlier insertion wins ties."""
     if len(index) == 0:
         raise ValueError("cannot query an empty index")
@@ -109,7 +104,7 @@ def query(index, z_bar, logits, lam=None, k=1, exclude_id=None, use_probabilitie
     logits = np.asarray(logits, dtype=np.float64)
     if np.linalg.norm(z_bar) == 0.0 or np.linalg.norm(logits) == 0.0:
         raise ValueError("zero-norm query vector")
-    scored = [(i, _score(r, z_bar, logits, lam, use_probabilities))
+    scored = [(i, _score(r, z_bar, logits, lam))
               for i, r in enumerate(index.records) if r.study_id != exclude_id]
     if not scored:
         raise ValueError("every record was excluded")
@@ -117,8 +112,7 @@ def query(index, z_bar, logits, lam=None, k=1, exclude_id=None, use_probabilitie
     return [(index.records[i].study_id, s) for i, s in scored[:k]]
 
 
-def brute_force_oracle(index, z_bar, logits, lam=None, k=1, exclude_id=None,
-                       use_probabilities=False):
+def brute_force_oracle(index, z_bar, logits, lam=None, k=1, exclude_id=None):
     """Straight-line reference: score every record, select maxima one at a time."""
     if len(index) == 0:
         raise ValueError("cannot query an empty index")
@@ -129,8 +123,7 @@ def brute_force_oracle(index, z_bar, logits, lam=None, k=1, exclude_id=None,
     for position, record in enumerate(index.records):
         if exclude_id is not None and record.study_id == exclude_id:
             continue
-        remaining.append((position, record.study_id,
-                          _score(record, z_bar, logits, lam, use_probabilities)))
+        remaining.append((position, record.study_id, _score(record, z_bar, logits, lam)))
     ranked = []
     while remaining and len(ranked) < k:
         best = 0
@@ -142,10 +135,9 @@ def brute_force_oracle(index, z_bar, logits, lam=None, k=1, exclude_id=None,
     return ranked
 
 
-def retrieve_report(index, z_bar, logits, lam=None, exclude_id=None, use_probabilities=False):
+def retrieve_report(index, z_bar, logits, lam=None, exclude_id=None):
     """Report text of the single best exemplar."""
-    top_id, _ = query(index, z_bar, logits, lam, k=1, exclude_id=exclude_id,
-                      use_probabilities=use_probabilities)[0]
+    top_id, _ = query(index, z_bar, logits, lam, k=1, exclude_id=exclude_id)[0]
     for r in index.records:
         if r.study_id == top_id:
             return r.report

@@ -66,21 +66,11 @@ def dvaf_pool(dasts, z, params):
     return pooled
 
 
-def gate_fuse(p, z_bar, params, mode="linear"):
-    """Fuse pooled disease vector with mean patch token.
-
-    "linear": f = W_gate [p; z_bar], a plain linear map on the concatenation.
-    "sigmoid": convex blend g*p + (1-g)*z_bar with g = sigmoid(W_gate [p; z_bar]),
-    kept behind this flag for the fusion ablations.
-    """
+def gate_fuse(p, z_bar, params):
+    """Fuse pooled disease vector with mean patch token: f = W_gate [p; z_bar],
+    a plain linear map on the concatenation."""
     cat = concat([p.reshape(1, -1), z_bar.reshape(1, -1)], axis=1)
-    projected = matmul(cat, params.w_gate.transpose()).reshape(-1)
-    if mode == "linear":
-        return projected
-    if mode == "sigmoid":
-        g = projected.sigmoid()
-        return g * p + (1.0 - g) * z_bar
-    raise ValueError(f"unknown fusion mode '{mode}'")
+    return matmul(cat, params.w_gate.transpose()).reshape(-1)
 
 
 def build_visual_sequence(z, f):

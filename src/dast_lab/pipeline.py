@@ -7,21 +7,22 @@ being a pretrained language model), then freezes everything except the
 projection matrix and its layer-norm affine and optimizes the language
 modeling loss, optionally with retrieved exemplar prompts.
 
-A checkpoint is one `store` container (magic b"DLCKPT3"): its named float64
-tensors plus one "meta" dict in the JSON header, holding the model kind
-("stage1" or "stage2"), the dims and config values the model is built from,
-and, for stage 2, the vocabulary. Loading builds the model through its own
-`init` and fills every `named()` tensor, with shape and finiteness checks.
+Each model holds the resolved `TrainConfig` it was built from as `cfg`. A
+checkpoint is one `store` container (magic b"DLCKPT4"): its named float64
+tensors plus one "meta" dict in the JSON header with the model kind
+("stage1" or "stage2") and that config; a stage-2 checkpoint adds its
+stage-1 model's config ("stage1") and the vocabulary ("vocab"). Loading
+builds the model through its own `init` from those configs and fills every
+`named()` tensor, with shape and finiteness checks.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,7 @@ from .metrics import _prf
 from .stage1 import DastBank, HashTextEncoder, classify, refine_dasts, stage1_loss
 from .tensor import NonFiniteError, Tensor, backward
 
-CKPT_MAGIC = b"DLCKPT3"
+CKPT_MAGIC = b"DLCKPT4"
 
 
 class CheckpointError(ValueError):
@@ -78,8 +79,6 @@ class TrainConfig:
     decoder_pretrain_lr: float = 2e-3
     max_positions: int = 512
     max_report_len: int = 128
-    fusion_mode: str = "linear"
-    use_probabilities: bool = False
     early_stop_loss: float = 0.0
 
     def __post_init__(self):
@@ -93,8 +92,12 @@ class TrainConfig:
             raise ValueError("batch_size and total_steps must be >= 1")
         if self.lambda_ < 0 or self.tau <= 0:
             raise ValueError("lambda must be >= 0 and tau > 0")
-        if self.fusion_mode not in ("linear", "sigmoid"):
-            raise ValueError(f"unknown fusion_mode '{self.fusion_mode}'")
+        for name in ("channels", "patch_size", "depth", "refine_depth", "decoder_width",
+                     "decoder_blocks", "decoder_ff_mult", "max_positions", "max_report_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.decoder_pretrain_steps < 0:
+            raise ValueError("decoder_pretrain_steps must be >= 0")
 
 
 _KEY_ALIASES = {"lambda": "lambda_"}
@@ -129,9 +132,9 @@ def _coerce(value, kind):
 def make_config(config_path=None, overrides=None):
     """TrainConfig from an optional key=value file plus explicit overrides.
 
-    Unknown keys are fatal and name the offending key.
+    Unknown keys and values that do not parse are fatal and name the key.
     """
-    fields = {f.name: f for f in dataclasses.fields(TrainConfig)}
+    names = {f.name for f in fields(TrainConfig)}
     defaults = TrainConfig()
     kwargs = {}
     merged = parse_config_file(config_path) if config_path else {}
@@ -140,9 +143,12 @@ def make_config(config_path=None, overrides=None):
             merged[key] = value
     for key, value in merged.items():
         name = _KEY_ALIASES.get(key, key)
-        if name not in fields:
+        if name not in names:
             raise ValueError(f"unknown config key '{key}'")
-        kwargs[name] = _coerce(value, type(getattr(defaults, name)))
+        try:
+            kwargs[name] = _coerce(value, type(getattr(defaults, name)))
+        except ValueError as exc:
+            raise ValueError(f"config key '{key}': {exc}") from exc
     return TrainConfig(**kwargs)
 
 
@@ -217,15 +223,14 @@ def _tensor_arrays(model):
 
 
 def _load_model(arrays, kind, build):
-    """Build a model of `kind` through `build(cfg, meta)` from the checkpoint's
+    """Build a model of `kind` through `build(meta)` from the checkpoint's
     meta, then fill every named() tensor from the arrays, frozen."""
     meta = arrays.get("meta")
     found = meta.get("kind") if isinstance(meta, dict) else None
     if found != kind:
         raise CheckpointError(f"expected a {kind} checkpoint, got {found or 'no model kind'}")
     try:
-        cfg = TrainConfig(**{k: v for k, v in meta.items() if k not in ("kind", "vocab")})
-        model = build(cfg, meta)
+        model = build(meta)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"bad {kind} settings: {exc}") from exc
     for name, t in model.named().items():
@@ -250,8 +255,7 @@ class Stage1Model:
     encoder: EncoderParams
     bank: DastBank
     text_encoder: HashTextEncoder
-    refine_depth: int = 1
-    tau: float = 0.07
+    cfg: TrainConfig
 
     @staticmethod
     def init(rng, cfg):
@@ -259,8 +263,7 @@ class Stage1Model:
             EncoderParams.init(rng, cfg.patch_size, cfg.channels, cfg.depth),
             DastBank.init(rng, cfg.channels),
             HashTextEncoder(cfg.channels),
-            refine_depth=cfg.refine_depth,
-            tau=cfg.tau,
+            cfg,
         )
 
     def named(self):
@@ -268,7 +271,7 @@ class Stage1Model:
 
     def forward(self, sample):
         z = encode(sample, self.encoder)
-        refined = refine_dasts(self.bank, z, depth=self.refine_depth)
+        refined = refine_dasts(self.bank, z, depth=self.cfg.refine_depth)
         logits = classify(refined, self.bank)
         return z, pool_mean(z), refined, logits
 
@@ -277,25 +280,21 @@ class Stage1Model:
         return (1.0 / (1.0 + np.exp(-logits.data)) > 0.5).astype(int)
 
 
-def _stage1_meta(model):
-    return {"channels": model.encoder.channels, "patch_size": model.encoder.patch_size,
-            "depth": len(model.encoder.blocks), "refine_depth": model.refine_depth,
-            "tau": model.tau}
-
-
 def stage1_arrays(model):
-    return {**_tensor_arrays(model), "meta": {"kind": "stage1", **_stage1_meta(model)}}
+    return {**_tensor_arrays(model), "meta": {"kind": "stage1", "config": asdict(model.cfg)}}
 
 
 def stage1_from_arrays(arrays):
-    return _load_model(arrays, "stage1",
-                       lambda cfg, _: Stage1Model.init(np.random.default_rng(0), cfg))
+    return _load_model(arrays, "stage1", lambda meta: Stage1Model.init(
+        np.random.default_rng(0), TrainConfig(**meta["config"])))
 
 
 class _BatchSchedule:
     """Seeded epoch-reshuffled batch index stream."""
 
     def __init__(self, n, batch_size, rng):
+        if n == 0:
+            raise ValueError("the train split is empty: no studies to draw batches from")
         self.n, self.batch_size, self.rng = n, batch_size, rng
         self.queue = deque()
 
@@ -381,12 +380,7 @@ class Stage2Model:
     fusion: FusionParams
     decoder: DecoderParams
     vocab: Vocabulary
-    use_dast_dvaf: bool
-    use_dmsr: bool
-    lambda_: float
-    fusion_mode: str = "linear"
-    use_probabilities: bool = False
-    max_report_len: int = 128
+    cfg: TrainConfig
     # checksums of every parameter at the phase-A/phase-B boundary
     boundary_checksums: dict = field(default_factory=dict)
 
@@ -396,20 +390,19 @@ class Stage2Model:
     def visual_sequence(self, sample):
         """Constant (grad-free) visual sequence V for one study."""
         z, z_bar, _, logits = self.stage1.forward(sample)
-        if self.use_dast_dvaf:
+        if self.cfg.use_dast_dvaf:
             p = dvaf_pool(self.stage1.bank.tokens, z, self.fusion)
-            f = gate_fuse(p, z_bar, self.fusion, mode=self.fusion_mode)
+            f = gate_fuse(p, z_bar, self.fusion)
             v = build_visual_sequence(z, f)
         else:
             v = z
         return Tensor(v.data), z_bar.data.copy(), logits.data.copy()
 
     def retrieved_text(self, index, z_bar, logits, exclude_id):
-        if not self.use_dmsr:
+        if not self.cfg.use_dmsr:
             return ""
-        return dmsr.retrieve_report(index, z_bar, logits, lam=self.lambda_,
-                                    exclude_id=exclude_id,
-                                    use_probabilities=self.use_probabilities)
+        return dmsr.retrieve_report(index, z_bar, logits, lam=self.cfg.lambda_,
+                                    exclude_id=exclude_id)
 
 
 def _stage2_model(cfg, stage1, vocab, rng):
@@ -417,16 +410,12 @@ def _stage2_model(cfg, stage1, vocab, rng):
     fusion = FusionParams(rng, stage1.encoder.channels, cfg.decoder_width)
     decoder = DecoderParams.init(rng, len(vocab), cfg.decoder_width, cfg.max_positions,
                                  cfg.decoder_blocks, cfg.decoder_ff_mult)
-    return Stage2Model(stage1, fusion, decoder, vocab,
-                       use_dast_dvaf=cfg.use_dast_dvaf, use_dmsr=cfg.use_dmsr,
-                       lambda_=cfg.lambda_, fusion_mode=cfg.fusion_mode,
-                       use_probabilities=cfg.use_probabilities,
-                       max_report_len=cfg.max_report_len)
+    return Stage2Model(stage1, fusion, decoder, vocab, cfg)
 
 
 def _check_index(model, index):
     """With retrieval on, the index must come from the model's own stage-1 arrays."""
-    if not model.use_dmsr:
+    if not model.cfg.use_dmsr:
         return
     digest = store.sha256(_tensor_arrays(model.stage1))
     if index.stage1_sha256 != digest:
@@ -533,22 +522,18 @@ def run_stage2(cfg, samples, stage1_ckpt_arrays, index, log_path=None):
 
 
 def stage2_arrays(model):
-    dec = model.decoder
-    meta = {"kind": "stage2", **_stage1_meta(model.stage1),
-            "decoder_width": dec.width, "decoder_blocks": len(dec.blocks),
-            "decoder_ff_mult": dec.blocks[0].ff_w1.data.shape[1] // dec.width,
-            "max_positions": dec.max_positions, "max_report_len": model.max_report_len,
-            "use_dast_dvaf": model.use_dast_dvaf, "use_dmsr": model.use_dmsr,
-            "lambda_": model.lambda_, "fusion_mode": model.fusion_mode,
-            "use_probabilities": model.use_probabilities,
+    meta = {"kind": "stage2", "config": asdict(model.cfg),
+            "stage1": asdict(model.stage1.cfg),
             "vocab": model.vocab.tokens[len(SPECIAL_TOKENS):]}
     return {**_tensor_arrays(model), "meta": meta}
 
 
 def stage2_from_arrays(arrays):
-    def build(cfg, meta):
+    def build(meta):
         rng = np.random.default_rng(0)
-        return _stage2_model(cfg, Stage1Model.init(rng, cfg), Vocabulary(meta["vocab"]), rng)
+        stage1 = Stage1Model.init(rng, TrainConfig(**meta["stage1"]))
+        return _stage2_model(TrainConfig(**meta["config"]), stage1,
+                             Vocabulary(meta["vocab"]), rng)
     return _load_model(arrays, "stage2", build)
 
 
@@ -561,6 +546,6 @@ def generate_reports(model, samples, index):
         retrieved = model.retrieved_text(index, z_bar, logits, exclude_id=s.study_id)
         v_proj = project(v_const, model.fusion)
         text = generate(model.decoder, model.vocab, retrieved, v_proj,
-                        model.max_report_len)
+                        model.cfg.max_report_len)
         rows.append({"study_id": s.study_id, "hypothesis": text})
     return rows

@@ -94,8 +94,7 @@ def test_c01_gradient_fidelity_stage1_and_stage2():
     vocab = Vocabulary.from_corpus(["there is pleural effusion ."])
     fusion = FusionParams(r, 8, 12)
     decoder = DecoderParams.init(r, len(vocab), 12, 48, n_blocks=2, ff_mult=2)
-    m2 = Stage2Model(model, fusion, decoder, vocab, use_dast_dvaf=True,
-                     use_dmsr=False, lambda_=0.5)
+    m2 = Stage2Model(model, fusion, decoder, vocab, TrainConfig(use_dmsr=False))
     v_const, _, _ = m2.visual_sequence(samples[0])
     target = tokenize("there is pleural effusion", vocab)
     assert len(target.interior) + 1 == 5  # five predicted tokens incl. EOS

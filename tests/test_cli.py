@@ -10,6 +10,7 @@ import pytest
 import dast_lab
 from dast_lab.cli import main
 from dast_lab.dmsr import brute_force_oracle, load as load_index
+from dast_lab.pipeline import load_checkpoint
 
 
 FAST_STAGE1 = """
@@ -176,6 +177,41 @@ def test_generate_names_the_wrong_checkpoint_kind(workspace, tmp_path, capsys):
                  "--out", str(tmp_path / "reports.jsonl")])
     assert code == 1
     assert "expected a stage2 checkpoint, got stage1" in capsys.readouterr().err
+
+
+def test_checkpoints_store_the_resolved_config(tmp_path, monkeypatch):
+    # no seed key and no patch_size key: DAST_LAB_SEED and dataset.json decide
+    monkeypatch.setenv("DAST_LAB_SEED", "7")
+    data = tmp_path / "data"
+    assert main(["gen-data", "--n", "10", "--image-size", "16", "--patch-size", "8",
+                 "--out", str(data)]) == 0
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("total_steps = 2\nwarmup_steps = 0\nbatch_size = 2\nchannels = 8\n"
+                   "depth = 1\ndecoder_width = 8\ndecoder_blocks = 1\n"
+                   "decoder_pretrain_steps = 1\nmax_positions = 64\n")
+    assert main(["train-stage1", "--data", str(data), "--config", str(cfg),
+                 "--out-ckpt", str(tmp_path / "s1.ckpt")]) == 0
+    assert main(["train-stage2", "--data", str(data), "--stage1-ckpt", str(tmp_path / "s1.ckpt"),
+                 "--no-dmsr", "--lambda", "0.25", "--config", str(cfg),
+                 "--out-ckpt", str(tmp_path / "s2.ckpt")]) == 0
+    meta = load_checkpoint(tmp_path / "s2.ckpt")["meta"]
+    for config in (meta["config"], meta["stage1"]):
+        assert (config["seed"], config["patch_size"], config["channels"]) == (7, 8, 8)
+    assert (meta["config"]["stage"], meta["config"]["use_dmsr"], meta["config"]["lambda_"]) \
+        == (2, False, 0.25)
+    assert meta["stage1"] == load_checkpoint(tmp_path / "s1.ckpt")["meta"]["config"]
+
+
+def test_empty_train_split_fails_instead_of_hanging(tmp_path):
+    data = tmp_path / "data"
+    assert main(["gen-data", "--n", "1", "--image-size", "16", "--out", str(data)]) == 0
+    assert (data / "train.jsonl").read_text() == ""
+    env = {**os.environ, "PYTHONPATH": str(Path(dast_lab.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "dast_lab.cli", "train-stage1", "--data",
+                           str(data), "--out-ckpt", str(tmp_path / "s1.ckpt")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert "train split is empty" in done.stderr
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

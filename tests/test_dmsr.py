@@ -156,14 +156,6 @@ def test_cosine_scale_invariance():
         assert s1 == s2 and abs(v1 - v2) < 1e-12
 
 
-def test_probability_space_variant_differs():
-    idx = filled_index(25, seed=300)
-    q = record(301, "q")
-    a = query(idx, q.z_bar, q.logits, lam=2.0, k=25)
-    b = query(idx, q.z_bar, q.logits, lam=2.0, k=25, use_probabilities=True)
-    assert [s for s, _ in a] != [s for s, _ in b] or a != b
-
-
 def test_empty_index_and_zero_norm_query_rejected():
     with pytest.raises(ValueError):
         query(ExemplarIndex(width=4), np.ones(4), np.ones(14), lam=0.5)

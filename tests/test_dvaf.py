@@ -108,18 +108,6 @@ def test_gate_fuse_is_linear(seed, alpha):
     assert np.allclose(scaled, alpha * gate_fuse(a, b, p).data, atol=1e-9)
 
 
-def test_gate_fuse_sigmoid_variant_blends():
-    p = params(19)
-    a = Tensor(rng(20).normal(size=8))
-    b = Tensor(rng(21).normal(size=8))
-    out = gate_fuse(a, b, p, mode="sigmoid").data
-    lo = np.minimum(a.data, b.data) - 1e-12
-    hi = np.maximum(a.data, b.data) + 1e-12
-    assert np.all(out >= lo) and np.all(out <= hi)
-    with pytest.raises(ValueError):
-        gate_fuse(a, b, p, mode="nope")
-
-
 def test_visual_sequence_layout():
     z = Tensor(rng(22).normal(size=(2, 8)))
     f = Tensor(rng(23).normal(size=8))

@@ -24,6 +24,7 @@ from dast_lab.pipeline import (
     stage1_macro_f1,
     stage2_arrays,
     stage2_from_arrays,
+    _BatchSchedule,
     _prepare_caches,
 )
 from dast_lab.tensor import NonFiniteError, Tensor
@@ -152,6 +153,25 @@ def test_config_validation():
         TrainConfig(base_lr=0.0)
     with pytest.raises(ValueError):
         TrainConfig(stage=3)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("batch_size", "abc"), ("base_lr", "fast"), ("use_dmsr", "maybe"),
+    *((key, "0") for key in ("channels", "depth", "patch_size", "refine_depth",
+                             "decoder_width", "decoder_blocks", "decoder_ff_mult",
+                             "max_positions", "max_report_len")),
+    ("max_report_len", "-1"), ("decoder_pretrain_steps", "-1"),
+])
+def test_bad_config_value_fails_naming_its_key(tmp_path, key, value):
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"{key} = {value}\n")
+    with pytest.raises(ValueError, match=rf"\b{key}\b"):
+        make_config(path)
+
+
+def test_batch_schedule_refuses_an_empty_split():
+    with pytest.raises(ValueError, match="train split is empty"):
+        _BatchSchedule(0, 4, rng())
 
 
 # -- checkpoints -------------------------------------------------------------------

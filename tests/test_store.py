@@ -84,8 +84,9 @@ def test_checkpoints_round_trip_bit_exact_through_init(files):
             assert t.data.tobytes() == model.named()[name].data.tobytes(), name
             assert not t.requires_grad
     assert back2.vocab.tokens == s2.vocab.tokens
-    assert (back2.lambda_, back2.fusion_mode, back2.max_report_len) == \
-        (s2.lambda_, s2.fusion_mode, s2.max_report_len)
+    assert back1.cfg == s1.cfg == TrainConfig(**S1)
+    assert back2.cfg == s2.cfg == TrainConfig(**S2)
+    assert back2.stage1.cfg == s2.stage1.cfg == s1.cfg
     assert stage2_arrays(back2)["meta"] == stage2_arrays(s2)["meta"]
 
 
@@ -100,11 +101,12 @@ def test_rewrite_is_byte_identical_and_leaves_no_temp_file(files, tmp_path):
 
 def test_old_format_files_fail_on_the_magic(tmp_path):
     old_ckpt, old_index = tmp_path / "old.ckpt", tmp_path / "old.dmsr"
-    for ckpt_magic, index_magic in ((b"DLCKPT1", b"DMSR1\x00"), (b"DLCKPT2", b"DMSR2\x00")):
+    for ckpt_magic in (b"DLCKPT1", b"DLCKPT2", b"DLCKPT3"):
         old_ckpt.write_bytes(ckpt_magic + struct.pack("<I", 0))
-        old_index.write_bytes(index_magic + struct.pack("<II", 4, 0))
         with pytest.raises(CheckpointError, match="magic"):
             load_checkpoint(old_ckpt)
+    for index_magic in (b"DMSR1\x00", b"DMSR2\x00"):
+        old_index.write_bytes(index_magic + struct.pack("<II", 4, 0))
         with pytest.raises(dmsr.IndexFormatError, match="magic"):
             dmsr.load(old_index)
 
