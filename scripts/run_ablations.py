@@ -31,8 +31,6 @@ base_lr = 3e-3
 warmup_steps = 30
 total_steps = 300
 batch_size = 8
-channels = 32
-depth = 2
 decoder_width = 64
 decoder_pretrain_steps = 500
 decoder_pretrain_lr = 2e-3

@@ -30,8 +30,6 @@ base_lr = 3e-3
 warmup_steps = 30
 total_steps = 400
 batch_size = 8
-channels = 32
-depth = 2
 decoder_width = 64
 decoder_pretrain_steps = 700
 decoder_pretrain_lr = 2e-3

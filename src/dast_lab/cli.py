@@ -16,6 +16,8 @@ from pathlib import Path
 from . import dmsr
 from .metrics import Corpus, clinical_prf, extract_labels, nlg_report
 from .pipeline import (
+    Stage1Config,
+    Stage2Config,
     build_index,
     generate_reports,
     load_checkpoint,
@@ -32,31 +34,31 @@ from .pipeline import (
 from .synth import SyntheticSpec, gen_dataset, load_manifest_path, load_split
 
 
-def _env_seed():
+def _env_seed(default=None):
+    """DAST_LAB_SEED as an int, or `default` when it is unset."""
     value = os.environ.get("DAST_LAB_SEED")
-    return int(value) if value is not None else None
+    try:
+        return default if value is None else int(value)
+    except ValueError:
+        raise ValueError(f"DAST_LAB_SEED must be an integer, got '{value}'") from None
 
 
-def _train_config(args, stage, extra=None):
+def _train_config(args, cls, extra=None, inherited=None):
     """Flag over config key over fallback (DAST_LAB_SEED, dataset.json), resolved once."""
     settings = {}
-    if "DAST_LAB_SEED" in os.environ:  # parsed only when no config key overrides it
-        settings["seed"] = os.environ["DAST_LAB_SEED"]
     info = Path(args.data) / "dataset.json"
-    if info.exists():
+    if cls is Stage1Config and info.exists():
         settings["patch_size"] = json.loads(info.read_text())["patch_size"]
     if args.config:
         settings.update(parse_config_file(args.config))
-    settings.update(stage=stage, **(extra or {}))
-    return make_config(overrides=settings)
+    if "seed" not in settings:  # the variable is read only when it is the fallback
+        settings["seed"] = _env_seed()
+    settings.update(extra or {})
+    return make_config(cls, overrides=settings, inherited=inherited)
 
 
 def cmd_gen_data(args):
-    seed = args.seed
-    if seed is None:
-        seed = _env_seed()
-    if seed is None:
-        seed = 0
+    seed = args.seed if args.seed is not None else _env_seed(default=0)
     spec = SyntheticSpec(n_studies=args.n, image_size=args.image_size,
                          patch_size=args.patch_size, seed=seed)
     gen_dataset(spec, args.out)
@@ -65,7 +67,7 @@ def cmd_gen_data(args):
 
 
 def cmd_train_stage1(args):
-    cfg = _train_config(args, stage=1)
+    cfg = _train_config(args, Stage1Config)
     samples = load_split(args.data, "train")
     model, log = run_stage1(cfg, samples, log_path=f"{args.out_ckpt}.log.jsonl")
     save_checkpoint(args.out_ckpt, stage1_arrays(model))
@@ -91,12 +93,12 @@ def cmd_train_stage2(args):
         extra["use_dmsr"] = False
     if args.lambda_ is not None:
         extra["lambda_"] = args.lambda_
-    cfg = _train_config(args, stage=2, extra=extra)
+    arrays = load_checkpoint(args.stage1_ckpt)
+    cfg = _train_config(args, Stage2Config, extra, inherited=stage1_from_arrays(arrays).cfg)
     if cfg.use_dmsr and not args.index:
         raise ValueError("--index is required unless --no-dmsr is set")
     samples = load_split(args.data, "train")
     index = dmsr.load(args.index) if args.index else None
-    arrays = load_checkpoint(args.stage1_ckpt)
     model, log = run_stage2(cfg, samples, arrays, index,
                             log_path=f"{args.out_ckpt}.log.jsonl")
     save_checkpoint(args.out_ckpt, stage2_arrays(model))

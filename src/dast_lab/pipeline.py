@@ -7,13 +7,15 @@ being a pretrained language model), then freezes everything except the
 projection matrix and its layer-norm affine and optimizes the language
 modeling loss, optionally with retrieved exemplar prompts.
 
-Each model holds the resolved `TrainConfig` it was built from as `cfg`. A
-checkpoint is one `store` container (magic b"DLCKPT4"): its named float64
-tensors plus one "meta" dict in the JSON header with the model kind
-("stage1" or "stage2") and that config; a stage-2 checkpoint adds its
-stage-1 model's config ("stage1") and the vocabulary ("vocab"). Loading
-builds the model through its own `init` from those configs and fills every
-`named()` tensor, with shape and finiteness checks.
+Each model holds the resolved config of its stage as `cfg`: `Stage1Config`
+(encoder, DASTs, tau) or `Stage2Config` (DVAF, DMSR, lambda, decoder), which
+share the optimizer, schedule and seed fields. A checkpoint is one `store`
+container (magic b"DLCKPT5"): its named float64 tensors plus one "meta" dict
+in the JSON header with the model kind ("stage1" or "stage2") and that
+config; a stage-2 checkpoint adds its stage-1 model's config ("stage1") and
+the vocabulary ("vocab"). Loading builds the model through its own `init`
+from those configs and fills every `named()` tensor, with shape and
+finiteness checks.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import hashlib
 import json
 import math
 from collections import deque
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +47,7 @@ from .metrics import _prf
 from .stage1 import DastBank, HashTextEncoder, classify, refine_dasts, stage1_loss
 from .tensor import NonFiniteError, Tensor, backward
 
-CKPT_MAGIC = b"DLCKPT4"
+CKPT_MAGIC = b"DLCKPT5"
 
 
 class CheckpointError(ValueError):
@@ -56,22 +58,50 @@ class CheckpointError(ValueError):
 
 
 @dataclass
-class TrainConfig:
+class _SharedConfig:
+    """Optimizer, schedule and seed: the settings both stages take."""
     base_lr: float = 1e-4
     warmup_steps: int = 500
     total_steps: int = 2000
     batch_size: int = 8
     seed: int = 0
-    stage: int = 1
-    use_dast_dvaf: bool = True
-    use_dmsr: bool = True
-    lambda_: float = 0.5
-    tau: float = 0.07
     weight_decay: float = 0.01
+
+    def __post_init__(self):
+        if self.base_lr <= 0:
+            raise ValueError("base_lr must be positive")
+        if not 0 <= self.warmup_steps <= self.total_steps:
+            raise ValueError("warmup_steps must lie in [0, total_steps]")
+        self._at_least(1, "batch_size", "total_steps")
+
+    def _at_least(self, bound, *names):
+        for name in names:
+            if getattr(self, name) < bound:
+                raise ValueError(f"{name} must be >= {bound}, got {getattr(self, name)}")
+
+
+@dataclass
+class Stage1Config(_SharedConfig):
+    """Stage 1: the scan encoder, the DAST refinement and the contrastive tau."""
+    tau: float = 0.07
     channels: int = 32
     patch_size: int = 4
     depth: int = 2
     refine_depth: int = 1
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.tau <= 0:
+            raise ValueError("tau must be > 0")
+        self._at_least(1, "channels", "patch_size", "depth", "refine_depth")
+
+
+@dataclass
+class Stage2Config(_SharedConfig):
+    """Stage 2: the DVAF and DMSR switches, lambda, and the decoder's training and limits."""
+    use_dast_dvaf: bool = True
+    use_dmsr: bool = True
+    lambda_: float = 0.5
     decoder_width: int = 64
     decoder_blocks: int = 2
     decoder_ff_mult: int = 4
@@ -82,22 +112,10 @@ class TrainConfig:
     early_stop_loss: float = 0.0
 
     def __post_init__(self):
-        if self.base_lr <= 0:
-            raise ValueError("base_lr must be positive")
-        if not 0 <= self.warmup_steps <= self.total_steps:
-            raise ValueError("warmup_steps must lie in [0, total_steps]")
-        if self.stage not in (1, 2):
-            raise ValueError("stage must be 1 or 2")
-        if self.batch_size < 1 or self.total_steps < 1:
-            raise ValueError("batch_size and total_steps must be >= 1")
-        if self.lambda_ < 0 or self.tau <= 0:
-            raise ValueError("lambda must be >= 0 and tau > 0")
-        for name in ("channels", "patch_size", "depth", "refine_depth", "decoder_width",
-                     "decoder_blocks", "decoder_ff_mult", "max_positions", "max_report_len"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.decoder_pretrain_steps < 0:
-            raise ValueError("decoder_pretrain_steps must be >= 0")
+        super().__post_init__()
+        self._at_least(0, "lambda_", "decoder_pretrain_steps")
+        self._at_least(1, "decoder_width", "decoder_blocks", "decoder_ff_mult",
+                       "max_positions", "max_report_len")
 
 
 _KEY_ALIASES = {"lambda": "lambda_"}
@@ -116,26 +134,28 @@ def parse_config_file(path):
     return out
 
 
-def _coerce(value, kind):
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _coerce(key, value, kind):
     if not isinstance(value, str):
         return value
-    if kind is bool:
-        low = value.lower()
-        if low in ("1", "true", "yes"):
-            return True
-        if low in ("0", "false", "no"):
-            return False
-        raise ValueError(f"expected a boolean, got '{value}'")
-    return kind(value)
+    try:
+        return _BOOLEANS[value.lower()] if kind is bool else kind(value)
+    except (KeyError, ValueError):
+        raise ValueError(f"config key '{key}': expected {kind.__name__}, "
+                         f"got '{value}'") from None
 
 
-def make_config(config_path=None, overrides=None):
-    """TrainConfig from an optional key=value file plus explicit overrides.
+def make_config(cls, config_path=None, overrides=None, inherited=None):
+    """A `cls` config from an optional key=value file plus explicit overrides.
 
-    Unknown keys and values that do not parse are fatal and name the key.
+    Unknown keys and values that do not parse are fatal and name the key. A
+    key naming a field of `inherited`, the stage-1 config a stage-2 run builds
+    on, must repeat that field's value, and is not stored.
     """
-    names = {f.name for f in fields(TrainConfig)}
-    defaults = TrainConfig()
+    defaults = asdict(cls())
+    inherited = asdict(inherited) if inherited else {}
     kwargs = {}
     merged = parse_config_file(config_path) if config_path else {}
     for key, value in (overrides or {}).items():
@@ -143,13 +163,16 @@ def make_config(config_path=None, overrides=None):
             merged[key] = value
     for key, value in merged.items():
         name = _KEY_ALIASES.get(key, key)
-        if name not in names:
-            raise ValueError(f"unknown config key '{key}'")
-        try:
-            kwargs[name] = _coerce(value, type(getattr(defaults, name)))
-        except ValueError as exc:
-            raise ValueError(f"config key '{key}': {exc}") from exc
-    return TrainConfig(**kwargs)
+        if name in defaults:
+            kwargs[name] = _coerce(key, value, type(defaults[name]))
+        elif name in inherited:
+            want = inherited[name]
+            if _coerce(key, value, type(want)) != want:
+                raise ValueError(f"config key '{key}' = {value} disagrees with the "
+                                 f"stage-1 checkpoint's {want}")
+        else:
+            raise ValueError(f"unknown config key '{key}' for {cls.__name__}")
+    return cls(**kwargs)
 
 
 def lr_at(step, cfg):
@@ -255,7 +278,7 @@ class Stage1Model:
     encoder: EncoderParams
     bank: DastBank
     text_encoder: HashTextEncoder
-    cfg: TrainConfig
+    cfg: Stage1Config
 
     @staticmethod
     def init(rng, cfg):
@@ -286,7 +309,7 @@ def stage1_arrays(model):
 
 def stage1_from_arrays(arrays):
     return _load_model(arrays, "stage1", lambda meta: Stage1Model.init(
-        np.random.default_rng(0), TrainConfig(**meta["config"])))
+        np.random.default_rng(0), Stage1Config(**meta["config"])))
 
 
 class _BatchSchedule:
@@ -380,7 +403,7 @@ class Stage2Model:
     fusion: FusionParams
     decoder: DecoderParams
     vocab: Vocabulary
-    cfg: TrainConfig
+    cfg: Stage2Config
     # checksums of every parameter at the phase-A/phase-B boundary
     boundary_checksums: dict = field(default_factory=dict)
 
@@ -531,8 +554,8 @@ def stage2_arrays(model):
 def stage2_from_arrays(arrays):
     def build(meta):
         rng = np.random.default_rng(0)
-        stage1 = Stage1Model.init(rng, TrainConfig(**meta["stage1"]))
-        return _stage2_model(TrainConfig(**meta["config"]), stage1,
+        stage1 = Stage1Model.init(rng, Stage1Config(**meta["stage1"]))
+        return _stage2_model(Stage2Config(**meta["config"]), stage1,
                              Vocabulary(meta["vocab"]), rng)
     return _load_model(arrays, "stage2", build)
 

@@ -1,7 +1,7 @@
 """The one on-disk container for checkpoints and exemplar indexes.
 
 Layout (little-endian):
-    magic   caller-chosen bytes (b"DLCKPT4" for checkpoints, b"DMSR3\\0" for indexes)
+    magic   caller-chosen bytes (b"DLCKPT5" for checkpoints, b"DMSR3\\0" for indexes)
     u32     header length H
     H bytes UTF-8 JSON header, keys sorted: the caller's plain metadata plus
             "arrays", the ordered [name, shape] list of the stored arrays

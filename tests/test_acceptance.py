@@ -25,8 +25,9 @@ from dast_lab.generator import Vocabulary, DecoderParams, apply_freeze, normaliz
 from dast_lab.metrics import Corpus, bleu_n, cider, rouge_l
 from dast_lab.pipeline import (
     Stage1Model,
+    Stage1Config,
+    Stage2Config,
     Stage2Model,
-    TrainConfig,
     _prepare_caches,
     build_index,
     generate_reports,
@@ -66,8 +67,8 @@ def tiny_8x8_samples(n=2, seed=101):
 
 def test_c01_gradient_fidelity_stage1_and_stage2():
     samples = tiny_8x8_samples()
-    cfg = TrainConfig(channels=8, depth=1, patch_size=4, seed=3,
-                      total_steps=1, warmup_steps=0, tau=0.07)
+    cfg = Stage1Config(channels=8, depth=1, patch_size=4, seed=3,
+                       total_steps=1, warmup_steps=0, tau=0.07)
     model = Stage1Model.init(rng(3), cfg)
     texts = [model.text_encoder.encode(s.report) for s in samples]
     tensors = list(model.named().values())
@@ -94,7 +95,7 @@ def test_c01_gradient_fidelity_stage1_and_stage2():
     vocab = Vocabulary.from_corpus(["there is pleural effusion ."])
     fusion = FusionParams(r, 8, 12)
     decoder = DecoderParams.init(r, len(vocab), 12, 48, n_blocks=2, ff_mult=2)
-    m2 = Stage2Model(model, fusion, decoder, vocab, TrainConfig(use_dmsr=False))
+    m2 = Stage2Model(model, fusion, decoder, vocab, Stage2Config(use_dmsr=False))
     v_const, _, _ = m2.visual_sequence(samples[0])
     target = tokenize("there is pleural effusion", vocab)
     assert len(target.interior) + 1 == 5  # five predicted tokens incl. EOS
@@ -216,15 +217,14 @@ def test_c03_dmsr_query_equals_oracle():
 
 def test_c04_freeze_contract_over_100_steps():
     samples = make_samples(8, seed=41, image_size=16, finding_probs=[0.25] * 14)
-    cfg1 = TrainConfig(base_lr=2e-3, warmup_steps=8, total_steps=40, batch_size=8,
-                       channels=16, depth=1, seed=41, tau=1.0)
+    cfg1 = Stage1Config(base_lr=2e-3, warmup_steps=8, total_steps=40, batch_size=8,
+                        channels=16, depth=1, seed=41, tau=1.0)
     s1, _ = run_stage1(cfg1, samples)
     arrays = stage1_arrays(s1)
     index = build_index(s1, samples)
-    cfg2 = TrainConfig(base_lr=3e-3, warmup_steps=10, total_steps=100, batch_size=4,
-                       channels=16, depth=1, seed=41, stage=2, decoder_width=24,
-                       decoder_pretrain_steps=60, decoder_pretrain_lr=2e-3,
-                       max_positions=256)
+    cfg2 = Stage2Config(base_lr=3e-3, warmup_steps=10, total_steps=100, batch_size=4,
+                        seed=41, decoder_width=24, decoder_pretrain_steps=60,
+                        decoder_pretrain_lr=2e-3, max_positions=256)
     model, log = run_stage2(cfg2, samples, arrays, index)
     assert len(log) == 100
     after = parameter_checksums(model.named())
@@ -245,8 +245,8 @@ def test_c05_stage1_learnability(tmp_path):
     gen_dataset(SyntheticSpec(n_studies=200, image_size=32, seed=0), tmp_path)
     train = load_split(tmp_path, "train")
     heldout = load_split(tmp_path, "test")
-    cfg = TrainConfig(base_lr=3e-3, warmup_steps=40, total_steps=300, batch_size=64,
-                      channels=32, depth=2, seed=0, tau=1.0)
+    cfg = Stage1Config(base_lr=3e-3, warmup_steps=40, total_steps=300, batch_size=64,
+                       channels=32, depth=2, seed=0, tau=1.0)
     t0 = time.time()
     model, _ = run_stage1(cfg, train)
     elapsed = time.time() - t0
@@ -264,15 +264,14 @@ def test_c05_stage1_learnability(tmp_path):
 def test_c06_stage2_memorization():
     samples = make_samples(10, seed=31, image_size=32, finding_probs=[0.3] * 14,
                            negated_prob=0.3)
-    cfg1 = TrainConfig(base_lr=3e-3, warmup_steps=20, total_steps=100, batch_size=10,
-                       channels=32, depth=2, seed=31, tau=1.0)
+    cfg1 = Stage1Config(base_lr=3e-3, warmup_steps=20, total_steps=100, batch_size=10,
+                        channels=32, depth=2, seed=31, tau=1.0)
     s1, _ = run_stage1(cfg1, samples)
     arrays = stage1_arrays(s1)
     index = build_index(s1, samples)
-    cfg2 = TrainConfig(base_lr=3e-3, warmup_steps=50, total_steps=2000, batch_size=10,
-                       channels=32, depth=2, seed=31, stage=2, decoder_width=64,
-                       decoder_pretrain_steps=1200, decoder_pretrain_lr=2e-3,
-                       max_positions=384, early_stop_loss=0.02)
+    cfg2 = Stage2Config(base_lr=3e-3, warmup_steps=50, total_steps=2000, batch_size=10,
+                        seed=31, decoder_width=64, decoder_pretrain_steps=1200,
+                        decoder_pretrain_lr=2e-3, max_positions=384, early_stop_loss=0.02)
     model, log = run_stage2(cfg2, samples, arrays, index)
     assert len(log) <= 2000
     caches = _prepare_caches(model, samples, index)
@@ -288,11 +287,10 @@ def test_c06_stage2_memorization():
 
 
 def _ablation_bleu(train, test, arrays, index, use_fusion, use_retrieval):
-    cfg2 = TrainConfig(base_lr=3e-3, warmup_steps=30, total_steps=300, batch_size=8,
-                       channels=32, depth=2, seed=13, stage=2, decoder_width=64,
-                       decoder_pretrain_steps=500, decoder_pretrain_lr=2e-3,
-                       max_positions=384, use_dast_dvaf=use_fusion,
-                       use_dmsr=use_retrieval)
+    cfg2 = Stage2Config(base_lr=3e-3, warmup_steps=30, total_steps=300, batch_size=8,
+                        seed=13, decoder_width=64, decoder_pretrain_steps=500,
+                        decoder_pretrain_lr=2e-3, max_positions=384,
+                        use_dast_dvaf=use_fusion, use_dmsr=use_retrieval)
     model, _ = run_stage2(cfg2, train, arrays, index if use_retrieval else None)
     rows = generate_reports(model, test, index if use_retrieval else None)
     refs = {s.study_id: s.report for s in test}
@@ -306,8 +304,8 @@ def ablation_scores(tmp_path_factory):
     gen_dataset(SyntheticSpec(n_studies=500, image_size=32, seed=13), root)
     train = load_split(root, "train")
     test = load_split(root, "test")
-    cfg1 = TrainConfig(base_lr=3e-3, warmup_steps=40, total_steps=300, batch_size=64,
-                       channels=32, depth=2, seed=13, tau=1.0)
+    cfg1 = Stage1Config(base_lr=3e-3, warmup_steps=40, total_steps=300, batch_size=64,
+                        channels=32, depth=2, seed=13, tau=1.0)
     s1, _ = run_stage1(cfg1, train)
     arrays = stage1_arrays(s1)
     index = build_index(s1, train)
@@ -354,7 +352,7 @@ def test_c08_metric_fixtures():
 
 
 def test_c09_schedule_boundaries():
-    cfg = TrainConfig()  # base_lr 1e-4, warmup 500, total 2000
+    cfg = Stage1Config()  # base_lr 1e-4, warmup 500, total 2000
     assert lr_at(0, cfg) == 0.0
     assert abs(lr_at(500, cfg) - 1e-4) < 1e-18
     assert lr_at(cfg.total_steps, cfg) == 0.0

@@ -185,21 +185,57 @@ def test_checkpoints_store_the_resolved_config(tmp_path, monkeypatch):
     data = tmp_path / "data"
     assert main(["gen-data", "--n", "10", "--image-size", "16", "--patch-size", "8",
                  "--out", str(data)]) == 0
-    cfg = tmp_path / "tiny.cfg"
-    cfg.write_text("total_steps = 2\nwarmup_steps = 0\nbatch_size = 2\nchannels = 8\n"
-                   "depth = 1\ndecoder_width = 8\ndecoder_blocks = 1\n"
-                   "decoder_pretrain_steps = 1\nmax_positions = 64\n")
-    assert main(["train-stage1", "--data", str(data), "--config", str(cfg),
+    schedule = "total_steps = 2\nwarmup_steps = 0\nbatch_size = 2\n"
+    cfg1, cfg2 = tmp_path / "tiny1.cfg", tmp_path / "tiny2.cfg"
+    cfg1.write_text(schedule + "channels = 8\ndepth = 1\n")
+    cfg2.write_text(schedule + "decoder_width = 8\ndecoder_blocks = 1\n"
+                    "decoder_pretrain_steps = 1\nmax_positions = 64\n")
+    assert main(["train-stage1", "--data", str(data), "--config", str(cfg1),
                  "--out-ckpt", str(tmp_path / "s1.ckpt")]) == 0
     assert main(["train-stage2", "--data", str(data), "--stage1-ckpt", str(tmp_path / "s1.ckpt"),
-                 "--no-dmsr", "--lambda", "0.25", "--config", str(cfg),
+                 "--no-dmsr", "--lambda", "0.25", "--config", str(cfg2),
                  "--out-ckpt", str(tmp_path / "s2.ckpt")]) == 0
     meta = load_checkpoint(tmp_path / "s2.ckpt")["meta"]
-    for config in (meta["config"], meta["stage1"]):
-        assert (config["seed"], config["patch_size"], config["channels"]) == (7, 8, 8)
-    assert (meta["config"]["stage"], meta["config"]["use_dmsr"], meta["config"]["lambda_"]) \
-        == (2, False, 0.25)
+    assert meta["config"]["seed"] == meta["stage1"]["seed"] == 7
+    assert (meta["stage1"]["patch_size"], meta["stage1"]["channels"]) == (8, 8)
+    assert (meta["config"]["use_dmsr"], meta["config"]["lambda_"]) == (False, 0.25)
+    assert not {"tau", "channels", "patch_size", "depth", "refine_depth"} & set(meta["config"])
     assert meta["stage1"] == load_checkpoint(tmp_path / "s1.ckpt")["meta"]["config"]
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("train-stage1", "decoder_width", "8"),
+    ("train-stage2", "channels", "99"),  # the stage-1 checkpoint has 16
+])
+def test_config_key_the_stage_does_not_take_fails_naming_it(workspace, tmp_path, capsys,
+                                                             command, key, value):
+    # a stage-2 file may repeat a stage-1 key only with the checkpoint's value
+    root, data = workspace
+    base = FAST_STAGE1 if command == "train-stage1" else FAST_STAGE2
+    (tmp_path / "bad.cfg").write_text(base + f"{key} = {value}\n")  # the last line wins
+    stage2_args = ["--stage1-ckpt", str(root / "stage1.ckpt"),
+                   "--index", str(root / "train.dmsr")]
+    code = main([command, "--data", str(data), "--config", str(tmp_path / "bad.cfg"),
+                 "--out-ckpt", str(tmp_path / "x.ckpt"),
+                 *(stage2_args if command == "train-stage2" else [])])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train-stage1"])
+def test_bad_env_seed_fails_naming_the_variable(workspace, tmp_path, monkeypatch, capsys,
+                                                command):
+    _, data = workspace
+    monkeypatch.setenv("DAST_LAB_SEED", "abc")
+    (tmp_path / "noseed.cfg").write_text(FAST_STAGE1.replace("seed = 11\n", ""))
+    argv = {"gen-data": ["gen-data", "--n", "6", "--out", str(tmp_path / "d")],
+            "train-stage1": ["train-stage1", "--data", str(data), "--config",
+                             str(tmp_path / "noseed.cfg"), "--out-ckpt", str(tmp_path / "x.ckpt")]}
+    assert main(argv[command]) == 1
+    assert "DAST_LAB_SEED" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists() and not (tmp_path / "x.ckpt").exists()
 
 
 def test_empty_train_split_fails_instead_of_hanging(tmp_path):

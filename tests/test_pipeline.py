@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from conftest import make_samples
 from dast_lab.pipeline import (
     AdamW,
     CheckpointError,
-    TrainConfig,
+    Stage1Config,
+    Stage2Config,
     build_index,
     generate_reports,
     load_checkpoint,
@@ -38,7 +40,7 @@ def rng(seed=0):
 
 
 def test_lr_schedule_boundary_values():
-    cfg = TrainConfig(total_steps=2000)
+    cfg = Stage1Config(total_steps=2000)
     assert lr_at(0, cfg) == 0.0
     assert lr_at(500, cfg) == pytest.approx(1e-4, abs=1e-18)
     assert lr_at(2000, cfg) == 0.0
@@ -47,7 +49,7 @@ def test_lr_schedule_boundary_values():
 
 
 def test_lr_schedule_continuous_at_warmup_boundary():
-    cfg = TrainConfig(base_lr=3e-3, warmup_steps=100, total_steps=400)
+    cfg = Stage1Config(base_lr=3e-3, warmup_steps=100, total_steps=400)
     ramp_end = cfg.base_lr * 100 / cfg.warmup_steps
     cosine_start = cfg.base_lr * 0.5 * (1 + math.cos(0.0))
     assert abs(ramp_end - cosine_start) < 1e-12
@@ -55,14 +57,14 @@ def test_lr_schedule_continuous_at_warmup_boundary():
 
 
 def test_lr_schedule_monotone_warmup():
-    cfg = TrainConfig(base_lr=1e-3, warmup_steps=10, total_steps=100)
+    cfg = Stage1Config(base_lr=1e-3, warmup_steps=10, total_steps=100)
     values = [lr_at(s, cfg) for s in range(11)]
     assert values == sorted(values)
     assert values[-1] == pytest.approx(1e-3)
 
 
 def test_lr_step_out_of_range():
-    cfg = TrainConfig(total_steps=10, warmup_steps=2)
+    cfg = Stage1Config(total_steps=10, warmup_steps=2)
     with pytest.raises(ValueError):
         lr_at(11, cfg)
 
@@ -125,7 +127,7 @@ def test_adamw_nonfinite_grad_aborts_without_partial_update():
 def test_config_file_and_overrides(tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text("base_lr = 0.001\nlambda = 0.25\nuse_dmsr = false\n# comment\n\n")
-    cfg = make_config(path, overrides={"total_steps": 50, "warmup_steps": 5})
+    cfg = make_config(Stage2Config, path, overrides={"total_steps": 50, "warmup_steps": 5})
     assert cfg.base_lr == 0.001
     assert cfg.lambda_ == 0.25
     assert cfg.use_dmsr is False
@@ -136,23 +138,22 @@ def test_config_unknown_key_is_fatal(tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text("learning_rate=0.1\n")
     with pytest.raises(ValueError, match="learning_rate"):
-        make_config(path)
+        make_config(Stage1Config, path)
 
 
 def test_config_malformed_line(tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text("base_lr 0.1\n")
     with pytest.raises(ValueError, match="key=value"):
-        make_config(path)
+        make_config(Stage1Config, path)
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(warmup_steps=100, total_steps=50)
-    with pytest.raises(ValueError):
-        TrainConfig(base_lr=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(stage=3)
+    for cls in (Stage1Config, Stage2Config):  # the shared checks hold in both stages
+        with pytest.raises(ValueError):
+            cls(warmup_steps=100, total_steps=50)
+        with pytest.raises(ValueError):
+            cls(base_lr=0.0)
 
 
 @pytest.mark.parametrize("key, value", [
@@ -165,8 +166,11 @@ def test_config_validation():
 def test_bad_config_value_fails_naming_its_key(tmp_path, key, value):
     path = tmp_path / "cfg.txt"
     path.write_text(f"{key} = {value}\n")
-    with pytest.raises(ValueError, match=rf"\b{key}\b"):
-        make_config(path)
+    owners = [cls for cls in (Stage1Config, Stage2Config) if key in asdict(cls())]
+    assert owners
+    for cls in owners:  # a shared key fails in both stages
+        with pytest.raises(ValueError, match=rf"\b{key}\b"):
+            make_config(cls, path)
 
 
 def test_batch_schedule_refuses_an_empty_split():
@@ -224,8 +228,8 @@ SMOKE_CFG = dict(base_lr=2e-3, warmup_steps=20, total_steps=120, batch_size=16,
 def test_stage1_smoke_learns_planted_patterns():
     # desk-scale sanity only; the >= 0.95 bar is in the acceptance suite
     samples = make_samples(48, seed=3, image_size=32)
-    cfg = TrainConfig(base_lr=2e-3, warmup_steps=20, total_steps=200, batch_size=32,
-                      channels=32, depth=1, seed=7, tau=1.0)
+    cfg = Stage1Config(base_lr=2e-3, warmup_steps=20, total_steps=200, batch_size=32,
+                       channels=32, depth=1, seed=7, tau=1.0)
     model, log = run_stage1(cfg, samples)
     assert stage1_macro_f1(model, samples) >= 0.6
     assert len(log) == 200
@@ -236,7 +240,7 @@ def test_stage1_smoke_learns_planted_patterns():
 
 def test_stage1_deterministic_across_runs():
     samples = make_samples(16, seed=5)
-    cfg = TrainConfig(**{**SMOKE_CFG, "total_steps": 25, "warmup_steps": 5})
+    cfg = Stage1Config(**{**SMOKE_CFG, "total_steps": 25, "warmup_steps": 5})
     _, log_a = run_stage1(cfg, samples)
     _, log_b = run_stage1(cfg, samples)
     assert [r["loss"] for r in log_a] == [r["loss"] for r in log_b]
@@ -244,7 +248,7 @@ def test_stage1_deterministic_across_runs():
 
 def test_stage1_checkpoint_roundtrip_preserves_forward():
     samples = make_samples(8, seed=9)
-    cfg = TrainConfig(**{**SMOKE_CFG, "total_steps": 10, "warmup_steps": 2})
+    cfg = Stage1Config(**{**SMOKE_CFG, "total_steps": 10, "warmup_steps": 2})
     model, _ = run_stage1(cfg, samples)
     back = stage1_from_arrays(stage1_arrays(model))
     for s in samples[:3]:
@@ -257,7 +261,7 @@ def test_stage1_checkpoint_roundtrip_preserves_forward():
 
 def test_text_encoder_not_in_optimizer_state():
     samples = make_samples(8, seed=11)
-    cfg = TrainConfig(**{**SMOKE_CFG, "total_steps": 5, "warmup_steps": 1})
+    cfg = Stage1Config(**{**SMOKE_CFG, "total_steps": 5, "warmup_steps": 1})
     model, _ = run_stage1(cfg, samples)
     opt = AdamW(model.named())
     assert not any("text" in name for name in opt.params)
@@ -273,7 +277,7 @@ def test_macro_f1_conventions():
 
 def test_build_index_over_train_split():
     samples = make_samples(12, seed=13)
-    cfg = TrainConfig(**{**SMOKE_CFG, "total_steps": 10, "warmup_steps": 2})
+    cfg = Stage1Config(**{**SMOKE_CFG, "total_steps": 10, "warmup_steps": 2})
     model, _ = run_stage1(cfg, samples)
     index = build_index(model, samples)
     assert len(index) == 12
@@ -288,19 +292,18 @@ def test_build_index_over_train_split():
 
 
 STAGE2_CFG = dict(base_lr=3e-3, warmup_steps=10, total_steps=60, batch_size=4,
-                  channels=16, depth=1, seed=21, decoder_width=24,
-                  decoder_pretrain_steps=80, decoder_pretrain_lr=2e-3,
-                  max_positions=256, stage=2)
+                  seed=21, decoder_width=24, decoder_pretrain_steps=80,
+                  decoder_pretrain_lr=2e-3, max_positions=256)
 
 
 @pytest.fixture(scope="module")
 def stage2_setup():
     samples = make_samples(6, seed=17, finding_probs=[0.25] * 14, negated_prob=0.15)
-    cfg1 = TrainConfig(**{**SMOKE_CFG, "total_steps": 40})
+    cfg1 = Stage1Config(**{**SMOKE_CFG, "total_steps": 40})
     s1_model, _ = run_stage1(cfg1, samples)
     arrays = stage1_arrays(s1_model)
     index = build_index(s1_model, samples)
-    cfg2 = TrainConfig(**STAGE2_CFG)
+    cfg2 = Stage2Config(**STAGE2_CFG)
     model, log = run_stage2(cfg2, samples, arrays, index)
     return samples, arrays, index, model, log
 
@@ -327,17 +330,17 @@ def test_stage2_freeze_contract(stage2_setup):
 
 def test_stage2_requires_index_when_retrieval_enabled(stage2_setup):
     samples, arrays, _, _, _ = stage2_setup
-    cfg = TrainConfig(**{**STAGE2_CFG, "total_steps": 1, "warmup_steps": 0,
-                     "decoder_pretrain_steps": 1})
+    cfg = Stage2Config(**{**STAGE2_CFG, "total_steps": 1, "warmup_steps": 0,
+                      "decoder_pretrain_steps": 1})
     with pytest.raises(ValueError, match="index"):
         run_stage2(cfg, samples, arrays, None)
 
 
 def test_stage2_baseline_mode_uses_patch_tokens_only(stage2_setup):
     samples, arrays, index, _, _ = stage2_setup
-    cfg = TrainConfig(**{**STAGE2_CFG, "total_steps": 2, "warmup_steps": 0,
-                     "decoder_pretrain_steps": 2,
-                     "use_dast_dvaf": False, "use_dmsr": False})
+    cfg = Stage2Config(**{**STAGE2_CFG, "total_steps": 2, "warmup_steps": 0,
+                      "decoder_pretrain_steps": 2,
+                      "use_dast_dvaf": False, "use_dmsr": False})
     model, _ = run_stage2(cfg, samples, arrays, None)
     v, _, _ = model.visual_sequence(samples[0])
     n_patches = (16 // 4) ** 2
@@ -364,8 +367,8 @@ def test_stage2_checkpoint_roundtrip_generation_identical(stage2_setup, tmp_path
 
 def test_stage2_deterministic(stage2_setup):
     samples, arrays, index, _, _ = stage2_setup
-    cfg = TrainConfig(**{**STAGE2_CFG, "total_steps": 8, "warmup_steps": 2,
-                     "decoder_pretrain_steps": 10})
+    cfg = Stage2Config(**{**STAGE2_CFG, "total_steps": 8, "warmup_steps": 2,
+                      "decoder_pretrain_steps": 10})
     _, log_a = run_stage2(cfg, samples, arrays, index)
     _, log_b = run_stage2(cfg, samples, arrays, index)
     assert [r["loss"] for r in log_a] == [r["loss"] for r in log_b]

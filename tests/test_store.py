@@ -12,8 +12,9 @@ from dast_lab import dmsr, store
 from dast_lab.pipeline import (
     CKPT_MAGIC,
     CheckpointError,
+    Stage1Config,
     Stage1Model,
-    TrainConfig,
+    Stage2Config,
     build_index,
     generate_reports,
     load_checkpoint,
@@ -26,17 +27,17 @@ from dast_lab.pipeline import (
 )
 
 S1 = dict(channels=8, depth=1, patch_size=4)
-S2 = dict(S1, stage=2, total_steps=2, warmup_steps=0, batch_size=2, decoder_width=8,
-          decoder_blocks=1, decoder_pretrain_steps=2, max_positions=128, seed=4)
+S2 = dict(total_steps=2, warmup_steps=0, batch_size=2, decoder_width=8, decoder_blocks=1,
+          decoder_pretrain_steps=2, max_positions=128, seed=4)
 
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("store")
     samples = make_samples(4, seed=3)
-    s1 = Stage1Model.init(np.random.default_rng(1), TrainConfig(**S1))
+    s1 = Stage1Model.init(np.random.default_rng(1), Stage1Config(**S1))
     index = build_index(s1, samples)
-    s2, _ = run_stage2(TrainConfig(**S2), samples, stage1_arrays(s1), index)
+    s2, _ = run_stage2(Stage2Config(**S2), samples, stage1_arrays(s1), index)
     save_checkpoint(root / "s1.ckpt", stage1_arrays(s1))
     save_checkpoint(root / "s2.ckpt", stage2_arrays(s2))
     dmsr.save(index, root / "train.dmsr")
@@ -84,8 +85,8 @@ def test_checkpoints_round_trip_bit_exact_through_init(files):
             assert t.data.tobytes() == model.named()[name].data.tobytes(), name
             assert not t.requires_grad
     assert back2.vocab.tokens == s2.vocab.tokens
-    assert back1.cfg == s1.cfg == TrainConfig(**S1)
-    assert back2.cfg == s2.cfg == TrainConfig(**S2)
+    assert back1.cfg == s1.cfg == Stage1Config(**S1)
+    assert back2.cfg == s2.cfg == Stage2Config(**S2)
     assert back2.stage1.cfg == s2.stage1.cfg == s1.cfg
     assert stage2_arrays(back2)["meta"] == stage2_arrays(s2)["meta"]
 
@@ -101,7 +102,7 @@ def test_rewrite_is_byte_identical_and_leaves_no_temp_file(files, tmp_path):
 
 def test_old_format_files_fail_on_the_magic(tmp_path):
     old_ckpt, old_index = tmp_path / "old.ckpt", tmp_path / "old.dmsr"
-    for ckpt_magic in (b"DLCKPT1", b"DLCKPT2", b"DLCKPT3"):
+    for ckpt_magic in (b"DLCKPT1", b"DLCKPT2", b"DLCKPT3", b"DLCKPT4"):
         old_ckpt.write_bytes(ckpt_magic + struct.pack("<I", 0))
         with pytest.raises(CheckpointError, match="magic"):
             load_checkpoint(old_ckpt)
@@ -141,13 +142,13 @@ def test_index_from_other_stage1_arrays_is_refused(files):
     _, samples, s1, s2, index = files
     assert index.stage1_sha256 == store.sha256(
         {n: t.data for n, t in s2.stage1.named().items()})
-    other = Stage1Model.init(np.random.default_rng(2), TrainConfig(**S1))
+    other = Stage1Model.init(np.random.default_rng(2), Stage1Config(**S1))
     stale = build_index(other, samples)
     assert stale.width == index.width and stale.stage1_sha256 != index.stage1_sha256
     with pytest.raises(dmsr.StaleIndexError, match="stale index"):
         generate_reports(s2, samples[:1], stale)
     with pytest.raises(dmsr.StaleIndexError, match="stale index"):
-        run_stage2(TrainConfig(**S2), samples, stage1_arrays(s1), stale)
+        run_stage2(Stage2Config(**S2), samples, stage1_arrays(s1), stale)
 
 
 def test_index_rejects_nonfinite_vectors():
