@@ -1,7 +1,11 @@
 """Exemplar retrieval over pooled visual vectors and disease logits.
 
 Each stored study is scored as cos(z_bar, z_bar_k) + lambda * cos(l, l_k), l
-the raw disease logits; ties break toward earlier insertion. A deliberately
+the raw disease logits; ties break toward earlier insertion. A query scores
+all N rows at once as Zu @ z_hat + lambda * (Lu @ l_hat), Zu and Lu the stored
+rows divided by their norms (exact inner-product search, as in FAISS
+IndexFlatIP), then rescores every row within a small margin of the k-th best
+of those scores with the scalar cosine and ranks only those. A deliberately
 boring brute-force scorer ships alongside the query path so the two can be
 checked against each other exactly, scores and tie-breaks included.
 
@@ -53,7 +57,8 @@ class ExemplarIndex:
     width: int
     stage1_sha256: str = ""
     records: list = field(default_factory=list)
-    _ids: set = field(default_factory=set)
+    _ids: dict = field(default_factory=dict)  # study_id -> position in records
+    _unit: tuple = field(default=None, repr=False)  # (row count, Zu, Lu), see _unit_rows
 
     def __len__(self):
         return len(self.records)
@@ -83,12 +88,23 @@ def add_exemplar(index, record):
         raise ValueError(f"duplicate study_id '{record.study_id}'")
     if not all(0.0 < np.linalg.norm(v) < np.inf for v in (record.z_bar, record.logits)):
         raise ValueError(f"zero-norm or non-finite vector for study '{record.study_id}'")
+    index._ids[record.study_id] = len(index.records)
     index.records.append(record)
-    index._ids.add(record.study_id)
 
 
 def _score(record, z_bar, logits, lam):
     return _cosine(z_bar, record.z_bar) + lam * _cosine(logits, record.logits)
+
+
+def _unit_rows(index):
+    """Stored z_bar and logit rows divided by their norms, rebuilt when the row count moves."""
+    n = len(index.records)
+    if index._unit is None or index._unit[0] != n:
+        z = np.reshape([r.z_bar for r in index.records], (n, index.width))
+        lg = np.reshape([r.logits for r in index.records], (n, NUM_CATEGORIES))
+        index._unit = (n, z / np.linalg.norm(z, axis=1, keepdims=True),
+                       lg / np.linalg.norm(lg, axis=1, keepdims=True))
+    return index._unit[1:]
 
 
 def query(index, z_bar, logits, lam=None, k=1, exclude_id=None):
@@ -98,16 +114,31 @@ def query(index, z_bar, logits, lam=None, k=1, exclude_id=None):
     if k < 1:
         raise ValueError("k must be >= 1")
     lam = DEFAULT_LAMBDA if lam is None else lam
+    if not np.isfinite(lam):
+        raise ValueError(f"non-finite lambda {lam}")
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     z_bar = np.asarray(z_bar, dtype=np.float64)
     logits = np.asarray(logits, dtype=np.float64)
-    if np.linalg.norm(z_bar) == 0.0 or np.linalg.norm(logits) == 0.0:
+    for name, v in (("z_bar", z_bar), ("logits", logits)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"non-finite query {name}")
+    z_norm, l_norm = np.linalg.norm(z_bar), np.linalg.norm(logits)
+    if z_norm == 0.0 or l_norm == 0.0:
         raise ValueError("zero-norm query vector")
-    scored = [(i, _score(r, z_bar, logits, lam))
-              for i, r in enumerate(index.records) if r.study_id != exclude_id]
-    if not scored:
+    zu, lu = _unit_rows(index)
+    approx = zu @ (z_bar / z_norm) + lam * (lu @ (logits / l_norm))
+    excluded = index._ids.get(exclude_id)
+    if excluded is not None:
+        approx[excluded] = -np.inf
+    top = min(k, len(index) - (excluded is not None))
+    if top == 0:
         raise ValueError("every record was excluded")
+    kth = np.partition(approx, -top)[-top]
+    # Each approx score is within delta << 1e-9 of its exact _score, so every member of
+    # the exact top k, ties included, lies within 2 * delta of kth and gets rescored.
+    near = np.flatnonzero(approx >= kth - 1e-9 * (1.0 + lam))
+    scored = [(i, _score(index.records[i], z_bar, logits, lam)) for i in near]
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return [(index.records[i].study_id, s) for i, s in scored[:k]]
 
@@ -138,10 +169,7 @@ def brute_force_oracle(index, z_bar, logits, lam=None, k=1, exclude_id=None):
 def retrieve_report(index, z_bar, logits, lam=None, exclude_id=None):
     """Report text of the single best exemplar."""
     top_id, _ = query(index, z_bar, logits, lam, k=1, exclude_id=exclude_id)[0]
-    for r in index.records:
-        if r.study_id == top_id:
-            return r.report
-    raise AssertionError("unreachable")
+    return index.records[index._ids[top_id]].report
 
 
 # -- persistence --------------------------------------------------------------

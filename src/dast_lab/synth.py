@@ -9,13 +9,13 @@ one. Labels, pixels, and text therefore stay mutually consistent and the
 rule labeler can read back exactly what was planted.
 
 On disk: per-split JSONL manifests ({study_id, image_path, labels, report})
-plus raw little-endian float64 image blobs with JSON shape sidecars.
+plus raw little-endian float64 image blobs, one file per image; the image
+shape (image_size x image_size) comes from dataset.json.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -149,9 +149,6 @@ def gen_dataset(spec, out_dir):
     for s in studies:
         blob = out / "images" / f"{s.study_id}.f64"
         blob.write_bytes(s.pixels.astype("<f8").tobytes())
-        sidecar = {"shape": list(s.pixels.shape), "dtype": "<f8"}
-        (out / "images" / f"{s.study_id}.json").write_text(
-            json.dumps(sidecar, sort_keys=True) + "\n")
 
     for name, indices in (("train", train), ("val", val), ("test", test)):
         lines = []
@@ -179,14 +176,17 @@ def load_split(data_dir, split):
     manifest = root / (name if name.endswith(".jsonl") else f"{name}.jsonl")
     if not manifest.exists():
         raise FileNotFoundError(f"missing manifest {manifest}")
+    info = root / "dataset.json"
+    if not info.exists():
+        raise FileNotFoundError(f"missing dataset descriptor {info}")
+    size = json.loads(info.read_text())["image_size"]
     samples = []
     for line in manifest.read_text().splitlines():
         row = json.loads(line)
-        sidecar = json.loads((root / row["image_path"]).with_suffix(".json").read_text())
         blob = (root / row["image_path"]).read_bytes()
-        if len(blob) != 8 * math.prod(sidecar["shape"]):
-            raise ValueError(f"image blob size disagrees with sidecar for {row['study_id']}")
-        pixels = np.frombuffer(blob, dtype="<f8").reshape(sidecar["shape"])
+        if len(blob) != 8 * size * size:
+            raise ValueError(f"image blob size disagrees with dataset.json for {row['study_id']}")
+        pixels = np.frombuffer(blob, dtype="<f8").reshape(size, size)
         samples.append(ImageSample(pixels=pixels.copy(), study_id=row["study_id"],
                                    labels=row["labels"], report=row["report"]))
     return samples

@@ -180,6 +180,69 @@ def test_query_equals_oracle_property(seed, n, lam, k):
             == brute_force_oracle(idx, q.z_bar, q.logits, lam=lam, k=k))
 
 
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 8),
+       scales=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=6),
+       lam=st.one_of(st.sampled_from([0.0, 100.0]), st.floats(0.0, 100.0)),
+       extra_k=st.integers(0, 16), exclude_kth=st.booleans())
+def test_query_equals_oracle_with_planted_near_ties(seed, n, scales, lam, extra_k, exclude_kth):
+    """Copies of one row scaled by positive constants have mathematically equal
+    cosines that differ in the last bits; the query sits on that row, so the
+    k-th hit falls among the copies."""
+    r = rng(seed)
+    idx = filled_index(n, seed=seed * 37 + 1)
+    anchor = idx.records[int(r.integers(n))]
+    for i, c in enumerate(scales):
+        add_exemplar(idx, ExemplarRecord(f"copy{i}", anchor.z_bar * c, anchor.logits / c, "copy"))
+    add_exemplar(idx, ExemplarRecord("dup", anchor.z_bar, anchor.logits, "dup"))
+    q_z = anchor.z_bar * r.uniform(0.5, 2.0) + r.normal(size=6) * r.choice([0.0, 1e-3])
+    k = 1 + extra_k % (len(idx) + 2)  # includes k > N
+    exclude_id = None
+    if exclude_kth:
+        hits = brute_force_oracle(idx, q_z, anchor.logits, lam=lam, k=k)
+        exclude_id = hits[-1][0]
+    assert (query(idx, q_z, anchor.logits, lam=lam, k=k, exclude_id=exclude_id)
+            == brute_force_oracle(idx, q_z, anchor.logits, lam=lam, k=k, exclude_id=exclude_id))
+
+
+def test_query_after_insert_sees_the_new_record():
+    idx = filled_index(20)
+    q = record(999, "q")
+    assert query(idx, q.z_bar, q.logits, k=3) == brute_force_oracle(idx, q.z_bar, q.logits, k=3)
+    add_exemplar(idx, ExemplarRecord("new", q.z_bar * 2.0, q.logits, "new report"))
+    got = query(idx, q.z_bar, q.logits, k=3)
+    assert got == brute_force_oracle(idx, q.z_bar, q.logits, k=3)
+    assert got[0][0] == "new"
+    assert retrieve_report(idx, q.z_bar, q.logits) == "new report"
+
+
+def test_loaded_index_answers_like_the_saved_one(tmp_path):
+    idx = filled_index(40, seed=300)
+    path = tmp_path / "idx.dmsr"
+    save(idx, path)
+    back = load(path)
+    for i in range(5):
+        q = record(2000 + i, "q")
+        for exclude_id in (None, "s007"):
+            want = query(idx, q.z_bar, q.logits, lam=0.3, k=6, exclude_id=exclude_id)
+            assert query(back, q.z_bar, q.logits, lam=0.3, k=6, exclude_id=exclude_id) == want
+            assert want == brute_force_oracle(idx, q.z_bar, q.logits, lam=0.3, k=6,
+                                              exclude_id=exclude_id)
+
+
+def test_non_finite_query_is_named():
+    idx = filled_index(3)
+    z, logits = np.ones(6), np.ones(14)
+    with pytest.raises(ValueError, match="z_bar"):
+        query(idx, np.where(np.arange(6) == 2, np.nan, z), logits)
+    with pytest.raises(ValueError, match="logits"):
+        query(idx, z, np.where(np.arange(14) == 0, np.inf, logits))
+    with pytest.raises(ValueError, match="lambda"):
+        query(idx, z, logits, lam=float("nan"))
+    with pytest.raises(ValueError, match="lambda"):
+        query(idx, z, logits, lam=float("inf"))
+
+
 # -- persistence ------------------------------------------------------------------
 
 

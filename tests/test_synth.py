@@ -125,5 +125,17 @@ def test_truncated_image_blob_names_the_study(tmp_path):
     row = json.loads((tmp_path / "train.jsonl").read_text().splitlines()[1])
     blob = tmp_path / row["image_path"]
     blob.write_bytes(blob.read_bytes()[:-8])
-    with pytest.raises(ValueError, match=f"disagrees with sidecar for {row['study_id']}"):
+    with pytest.raises(ValueError, match=f"disagrees with dataset.json for {row['study_id']}"):
+        load_split(tmp_path, "train")
+
+
+def test_one_file_per_image(tmp_path):
+    gen_dataset(SyntheticSpec(n_studies=5, image_size=16, seed=3), tmp_path)
+    assert sorted(p.suffix for p in (tmp_path / "images").iterdir()) == [".f64"] * 5
+
+
+def test_missing_dataset_descriptor_is_named(tmp_path):
+    gen_dataset(SyntheticSpec(n_studies=5, image_size=16, seed=3), tmp_path)
+    (tmp_path / "dataset.json").unlink()
+    with pytest.raises(FileNotFoundError, match="dataset.json"):
         load_split(tmp_path, "train")
