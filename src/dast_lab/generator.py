@@ -3,7 +3,10 @@
 The decoder input is laid out as [retrieved-report tokens, SEP, projected
 visual rows, BOS, target tokens]; attention is causal over the whole
 sequence, so every text position can see the visual prefix. The language
-modeling loss covers exactly the target positions. A tiny two-block decoder
+modeling loss covers exactly the target positions, and only the rows a
+caller reads (the loss's target rows, or the row that picks the next token)
+go through the last block's queries, attention output and feed-forward, the
+final norm and the vocabulary projection. A tiny two-block decoder
 stands behind the frozen-LM seam; after its pretraining phase it never
 changes again.
 
@@ -163,25 +166,37 @@ def _causal_mask(n, m):
     return _MASK_CACHE[n, m]
 
 
-def decoder_hidden(params, x, past=None):
+def decoder_hidden(params, x, past=None, rows=None):
     """Run the causal blocks over an embedded sequence (S, width).
 
     past, if given, holds one [K, V] pair per block ([None, None] when
     empty): the keys and values of the rows before x, which x attends to.
     The call replaces each pair with one extended by x's own keys and values.
+
+    rows, if given, are the indices of the rows whose output the caller
+    reads; the result then has one row per index, in that order. Every block
+    before the last needs all rows, and the last block still computes keys
+    and values for all of them (later rows and the cache attend to those),
+    but its queries, attention output, feed-forward and the final norm run
+    on `rows` only.
     """
     n = x.data.shape[0]
     m = 0 if past is None or past[0][0] is None else past[0][0].data.shape[0]
     mask = _causal_mask(n, m) if n > 1 else None
+    last = len(params.blocks) - 1
     for i, b in enumerate(params.blocks):
         h = layer_norm(x)
-        q, k, v = h @ b.wq, h @ b.wk, h @ b.wv
+        k, v = h @ b.wk, h @ b.wv
         if m:
             k = concat([past[i][0], k], axis=0)
             v = concat([past[i][1], v], axis=0)
         if past is not None:
             past[i] = [k, v]
-        att, _ = scaled_dot_attention(q, k, v, mask)
+        if i == last and rows is not None:
+            x, h = gather_rows(x, rows), gather_rows(h, rows)
+            if mask is not None:
+                mask = Tensor(mask.data[rows])
+        att, _ = scaled_dot_attention(h @ b.wq, k, v, mask)
         x = x + att @ b.wo
         h2 = layer_norm(x)
         x = x + ((h2 @ b.ff_w1 + b.ff_b1).gelu() @ b.ff_w2 + b.ff_b2)
@@ -231,8 +246,9 @@ def assemble_prompt(params, vocab, retrieved_text, v_proj, target):
     return AssembledPrompt(emb, target_ids, loss_positions, n_prefix, len(r_ids))
 
 
-def sequence_logits(params, embeddings, past=None):
-    return decoder_hidden(params, embeddings, past) @ params.tok_emb.transpose()
+def sequence_logits(params, embeddings, past=None, rows=None):
+    """Vocabulary logits of the decoder's output rows (all, or `rows`)."""
+    return decoder_hidden(params, embeddings, past, rows) @ params.tok_emb.transpose()
 
 
 def token_cross_entropy(logits, target_ids):
@@ -244,9 +260,8 @@ def lm_loss(params, prompt):
     """(summed, mean-per-token) negative log likelihood over target positions."""
     if len(prompt.target_ids) == 0:
         raise ValueError("empty target sequence")
-    logits = sequence_logits(params, prompt.embeddings)
-    rows = gather_rows(logits, prompt.loss_positions)
-    ce = token_cross_entropy(rows, prompt.target_ids)
+    logits = sequence_logits(params, prompt.embeddings, rows=prompt.loss_positions)
+    ce = token_cross_entropy(logits, prompt.target_ids)
     total = ce.sum()
     return total, total * (1.0 / len(prompt.target_ids))
 
@@ -255,8 +270,9 @@ def generate(params, vocab, retrieved_text, v_proj, max_len):
     """Greedy decoding from BOS until EOS, max_len tokens or max_positions
     rows; ties take the lowest token id. Returns detokenized text.
 
-    The head [R_ret, SEP, prefix rows, BOS] runs once; each later step runs
-    only the newest token's row against the cached keys and values.
+    The head [R_ret, SEP, prefix rows, BOS] runs once, and its last block,
+    final norm and vocabulary projection only for the BOS row; each later
+    step runs only the newest token's row against the cached keys and values.
     """
     # an empty target leaves the input [R_ret, SEP, prefix rows, BOS]
     prompt = assemble_prompt(params, vocab, retrieved_text, v_proj, tokenize("", vocab))
@@ -266,7 +282,7 @@ def generate(params, vocab, retrieved_text, v_proj, max_len):
     past = [[None, None] for _ in params.blocks]
     out_ids = []
     while len(out_ids) < max_len:
-        logits = sequence_logits(params, x, past=past).data[-1]
+        logits = sequence_logits(params, x, past=past, rows=[-1]).data[0]
         nxt = int(np.argmax(logits))
         if nxt == EOS:
             break

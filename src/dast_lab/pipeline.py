@@ -20,10 +20,12 @@ finiteness checks.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -218,17 +220,26 @@ class AdamW:
             if not np.all(np.isfinite(g)):
                 raise NonFiniteError(f"non-finite gradient for parameter '{name}'")
             grads[name] = g
-        self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        t = self.t + 1
+        c1 = 1.0 - self.beta1 ** t
+        c2 = 1.0 - self.beta2 ** t
+        updates = {}
         for name, p in self.params.items():
             g = grads[name]
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[name] / c1
-            v_hat = self.v[name] / c2
-            p.data -= lr * (m_hat / (np.sqrt(v_hat) + self.eps)
-                            + self.weight_decay * p.data)
+            m = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
+            v = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
+            with np.errstate(all="ignore"):  # a non-finite result raises below
+                value = p.data - lr * (m / c1 / (np.sqrt(v / c2) + self.eps)
+                                       + self.weight_decay * p.data)
+            # the tensor core checks no op that only moves values, so every
+            # parameter must stay finite
+            if not np.all(np.isfinite(value)):
+                raise NonFiniteError(f"update at lr {lr} makes parameter '{name}' non-finite")
+            updates[name] = m, v, value
+        self.t = t
+        for name, (m, v, value) in updates.items():
+            self.m[name], self.v[name] = m, v
+            self.params[name].data = value
 
 
 # -- checkpoint persistence -----------------------------------------------------------
@@ -331,6 +342,24 @@ class _BatchSchedule:
         return [self.queue.popleft() for _ in range(self.batch_size)]
 
 
+@contextmanager
+def _collector_paused():
+    """Hold Python's cyclic garbage collector off for one optimizer step.
+
+    A step's tape is thousands of objects that live until `backward`, and
+    the collector would scan them again and again, though they form no
+    cycles: `backward` releases the tape and reference counting frees it.
+    The caller's collector state is restored on exit.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def run_stage1(cfg, samples, log_path=None):
     """Optimize classification + alignment; returns (model, per-step log)."""
     rng = np.random.default_rng(cfg.seed)
@@ -341,19 +370,20 @@ def run_stage1(cfg, samples, log_path=None):
     log = []
     for step in range(1, cfg.total_steps + 1):
         batch = [samples[i] for i in schedule.next()]
-        pooled, texts, logits, labels = [], [], [], []
-        for s in batch:
-            _, z_bar, _, lg = model.forward(s)
-            pooled.append(z_bar)
-            texts.append(text_cache[s.study_id])
-            logits.append(lg)
-            labels.append(s.labels)
-        total, parts = stage1_loss(pooled, texts, logits, labels, cfg.tau)
-        loss_value = total.item()
-        opt.zero_grad()
-        backward(total)
         lr = lr_at(step, cfg)
-        opt.step(lr)
+        with _collector_paused():
+            pooled, texts, logits, labels = [], [], [], []
+            for s in batch:
+                _, z_bar, _, lg = model.forward(s)
+                pooled.append(z_bar)
+                texts.append(text_cache[s.study_id])
+                logits.append(lg)
+                labels.append(s.labels)
+            total, parts = stage1_loss(pooled, texts, logits, labels, cfg.tau)
+            loss_value = total.item()
+            opt.zero_grad()
+            backward(total)
+            opt.step(lr)
         log.append({"step": step, "lr": lr, "loss": loss_value, **parts})
     if log_path:
         _write_log(log_path, log)
@@ -541,10 +571,11 @@ def run_stage2(cfg, samples, stage1_ckpt_arrays, index, log_path=None):
     draw = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
     for _ in range(cfg.decoder_pretrain_steps):
         batch = [caches[i] for i in schedule.next()]
-        loss = _batch_mean_loss(model, batch, draw)
-        opt.zero_grad()
-        backward(loss)
-        opt.step(cfg.decoder_pretrain_lr)
+        with _collector_paused():
+            loss = _batch_mean_loss(model, batch, draw)
+            opt.zero_grad()
+            backward(loss)
+            opt.step(cfg.decoder_pretrain_lr)
 
     # phase B: the freeze contract proper
     apply_freeze(named, stage2_freeze_mask(named))
@@ -553,12 +584,13 @@ def run_stage2(cfg, samples, stage1_ckpt_arrays, index, log_path=None):
     log = []
     for step in range(1, cfg.total_steps + 1):
         batch = [caches[i] for i in schedule.next()]
-        loss = _batch_mean_loss(model, batch)
-        loss_value = loss.item()
-        opt.zero_grad()
-        backward(loss)
         lr = lr_at(step, cfg)
-        opt.step(lr)
+        with _collector_paused():
+            loss = _batch_mean_loss(model, batch)
+            loss_value = loss.item()
+            opt.zero_grad()
+            backward(loss)
+            opt.step(lr)
         log.append({"step": step, "lr": lr, "loss": loss_value})
         if cfg.early_stop_loss > 0 and step % 50 == 0:
             if mean_token_loss(model, caches) < cfg.early_stop_loss:

@@ -25,7 +25,7 @@ from dast_lab.generator import (
     token_cross_entropy,
     tokenize,
 )
-from dast_lab.tensor import Tensor, backward, grad_check
+from dast_lab.tensor import Tensor, backward, gather_rows, grad_check
 
 
 def rng(seed=0):
@@ -318,11 +318,12 @@ def test_generate_runs_head_once_then_one_row_per_token(monkeypatch):
     v = vocab()
     d = sharp_decoder(v, seed=19, max_positions=40)
     rows = []
+    record = rows.append
     inner = generator.sequence_logits
 
-    def counting(params, embeddings, past=None):
-        rows.append(embeddings.data.shape[0])
-        return inner(params, embeddings, past=past)
+    def counting(params, embeddings, past=None, rows=None):
+        record(embeddings.data.shape[0])
+        return inner(params, embeddings, past=past, rows=rows)
 
     monkeypatch.setattr(generator, "sequence_logits", counting)
     out = generate(d, v, "the chest is clear .", Tensor(rng(20).normal(size=(3, 12))), 12)
@@ -366,6 +367,60 @@ def test_split_at_any_point_matches_full_pass():
         rest = decoder_hidden(d, Tensor(x.data[m:]), past=past).data
         assert np.abs(np.concatenate([first, rest]) - full).max() < 1e-9
         assert all(k.data.shape[0] == s and v.data.shape[0] == s for k, v in past)
+
+
+# -- row selection ----------------------------------------------------------------------
+
+
+def selection_prompt(d):
+    v = vocab()
+    return assemble_prompt(d, v, "the chest is clear .", Tensor(rng(24).normal(size=(3, 12))),
+                           tokenize("there is cardiomegaly . no effusion .", v))
+
+
+@pytest.mark.parametrize("n_blocks", [1, 2])
+@pytest.mark.parametrize("cached", [0, 4])
+@pytest.mark.parametrize("which", ["loss", "last"])
+def test_selected_rows_match_the_full_pass(n_blocks, cached, which):
+    d = sharp_decoder(vocab(), seed=23, n_blocks=n_blocks)
+    prompt = selection_prompt(d)
+    x = prompt.embeddings.data
+    r = prompt.loss_positions - cached if which == "loss" else np.array([-1])
+    passes = []
+    for rows in (None, r):
+        past = None
+        if cached:
+            past = [[None, None] for _ in d.blocks]
+            decoder_hidden(d, Tensor(x[:cached]), past=past)
+        out = decoder_hidden(d, Tensor(x[cached:]), past=past, rows=rows).data
+        passes.append((out, past))
+    (full, full_past), (picked, picked_past) = passes
+    assert picked.shape == (len(r), d.width)
+    assert np.abs(picked - full[r]).max() < 1e-12
+    if cached:  # the selecting pass still extends the cache by every row
+        for (k, v), (k_ref, v_ref) in zip(picked_past, full_past):
+            assert np.array_equal(k.data, k_ref.data) and np.array_equal(v.data, v_ref.data)
+
+
+def test_lm_loss_matches_an_all_rows_reference():
+    d = sharp_decoder(vocab(), seed=23)
+    named = d.named()
+
+    def all_rows(p):
+        logits = gather_rows(sequence_logits(d, p.embeddings), p.loss_positions)
+        return token_cross_entropy(logits, p.target_ids).sum()
+
+    results = []
+    for loss_of in (lambda p: lm_loss(d, p)[0], all_rows):
+        for t in named.values():
+            t.zero_grad()
+        loss = loss_of(selection_prompt(d))
+        backward(loss)
+        results.append((loss.item(), {n: t.grad.copy() for n, t in named.items()}))
+    (value, grads), (want, want_grads) = results
+    assert abs(value - want) <= 1e-10 * abs(want)
+    for name, g in want_grads.items():
+        assert np.abs(grads[name] - g).max() <= 1e-10 * np.abs(g).max(), name
 
 
 # -- freezing ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import math
 from dataclasses import asdict
 
@@ -123,6 +124,18 @@ def test_adamw_nonfinite_grad_aborts_without_partial_update():
     assert a.data[0] == 1.0 and b.data[0] == 1.0
 
 
+def test_adamw_refuses_an_update_that_makes_a_parameter_non_finite():
+    a = Tensor([1.0], requires_grad=True)
+    b = Tensor([100.0], requires_grad=True)
+    opt = AdamW({"a": a, "b": b})
+    a.grad = np.array([1.0])
+    b.grad = np.array([1.0])
+    # a moves by about 1.01e308, still finite; b by about 2e308, which overflows
+    with pytest.raises(NonFiniteError, match="'b'"):
+        opt.step(1e308)
+    assert a.data[0] == 1.0 and b.data[0] == 100.0 and opt.t == 0
+
+
 # -- config ---------------------------------------------------------------------
 
 
@@ -240,6 +253,30 @@ def test_stage1_smoke_learns_planted_patterns():
         assert abs(rec["loss"] - (rec["loss_cls"] + rec["loss_ctl"])) < 1e-9
 
 
+def test_training_keeps_the_collector_out_of_its_steps_and_restores_it():
+    samples = make_samples(16, seed=5)
+    cfg = Stage1Config(**{**SMOKE_CFG, "total_steps": 4, "warmup_steps": 1,
+                          "batch_size": 8})
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        run_stage1(cfg, samples)
+        assert gc.isenabled()
+        # a step's tape would cost a few collections; between steps one may run
+        assert len(collections) <= cfg.total_steps
+        gc.disable()
+        run_stage1(cfg, samples)
+        assert not gc.isenabled()
+    finally:
+        gc.callbacks.remove(count)
+        gc.enable()
+
+
 def test_stage1_deterministic_across_runs():
     samples = make_samples(16, seed=5)
     cfg = Stage1Config(**{**SMOKE_CFG, "total_steps": 25, "warmup_steps": 5})
@@ -352,6 +389,18 @@ def test_stage2_freeze_contract(stage2_setup):
     for name in arrays:
         if name.startswith(("encoder/", "dast/")):
             assert arrays[name].tobytes() == named[name].data.tobytes()
+
+
+def test_stage2_restores_a_disabled_collector(stage2_setup):
+    samples, arrays, index, _, _ = stage2_setup
+    cfg = Stage2Config(**{**STAGE2_CFG, "decoder_pretrain_steps": 2, "total_steps": 2,
+                          "warmup_steps": 1})
+    gc.disable()
+    try:
+        run_stage2(cfg, samples, arrays, index)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_stage2_requires_index_when_retrieval_enabled(stage2_setup):

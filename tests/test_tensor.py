@@ -330,6 +330,18 @@ def test_logsumexp_matches_reference():
     assert np.allclose(out.data, ref, atol=1e-12)
 
 
+def test_gelu_stays_within_4_ulp_of_the_power_form():
+    # the reference cubes with x ** 3, as gelu did before it switched to x * x * x
+    x = rng(22).normal(0.0, 3.0, 100_000)
+    c = math.sqrt(2.0 / math.pi)
+    old = 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x ** 3)))
+    new = Tensor(x).gelu().data
+    # ulp at the scale of the input: for x << 0, 1 + tanh(...) cancels, so a
+    # one-ulp change in tanh is many ulp of the tiny output (but not of x)
+    ulp = np.spacing(np.maximum(np.abs(x), np.abs(old)))
+    assert np.all(np.abs(new - old) <= 4 * ulp)
+
+
 # -- every primitive on its own ----------------------------------------------------
 
 
