@@ -3,6 +3,13 @@
 Each block runs layer-norm, a per-channel decaying scan over the raster token
 order, and a residual add. The scan gives linear cost in token count while
 still mixing information across the whole sequence.
+
+The encoder runs on a (B, H, W) stack of images as one graph. Each parameter
+is expanded to one copy per sample (`tensor.expand`) where a per-sample
+forward would make its first per-sample node: the decay before its sigmoid,
+w_in and w_out before their transpose, skip as (B, 1, C). So every sample's
+gradient is its own product and the batched graph has the bits of B separate
+forwards.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ontology import NUM_CATEGORIES
-from .tensor import Tensor, decay_scan, layer_norm
+from .tensor import Tensor, decay_scan, expand, layer_norm
 
 INIT_SCALE = 0.02
 DECAY_INIT = 0.9
@@ -49,9 +56,6 @@ class SsmBlockParams:
         self.w_out = Tensor.randn(rng, (channels, channels), INIT_SCALE, requires_grad=True)
         self.skip = Tensor(np.ones(channels), requires_grad=True)
 
-    def decay(self):
-        return self.decay_raw.sigmoid()
-
     def named(self, prefix):
         return {
             f"{prefix}/decay_raw": self.decay_raw,
@@ -85,32 +89,48 @@ class EncoderParams:
 
 
 def patch_grid(pixels, patch_size):
-    """Flatten non-overlapping patches in raster order: (N, P*P) float array."""
-    h, w = pixels.shape
+    """Flatten non-overlapping patches in raster order: (H, W) -> (N, P*P),
+    and a (B, H, W) stack -> (B, N, P*P)."""
+    *lead, h, w = pixels.shape
     p = patch_size
     if h % p or w % p:
         raise ValueError(f"image {h}x{w} not divisible by patch size {p}")
-    return (pixels.reshape(h // p, p, w // p, p)
-            .transpose(0, 2, 1, 3)
-            .reshape((h // p) * (w // p), p * p))
+    return (pixels.reshape(*lead, h // p, p, w // p, p)
+            .swapaxes(-3, -2)
+            .reshape(*lead, (h // p) * (w // p), p * p))
 
 
 def patch_embed(pixels, patch_size, w_embed):
-    """Linear embedding of flattened patches; no bias term."""
+    """Linear embedding of flattened patches; no bias term. A (B, H, W) stack
+    multiplies each sample by its own copy of w_embed."""
     patches = Tensor(patch_grid(pixels, patch_size))
+    if pixels.ndim == 3:
+        w_embed = expand(w_embed, pixels.shape[0])
     return patches @ w_embed
 
 
 def selective_scan(tokens, params):
-    """One scan pass: state h_i = a*h_{i-1} + W_in x_i, out = W_out h_i + skip*x_i."""
-    u = tokens @ params.w_in.transpose()
-    h = decay_scan(params.decay(), u)
-    return h @ params.w_out.transpose() + params.skip * tokens
+    """One scan pass: state h_i = a*h_{i-1} + W_in x_i, out = W_out h_i + skip*x_i.
+
+    tokens is (N, C), or a (B, N, C) stack, where each sample gets its own
+    copy of every parameter.
+    """
+    w_in, w_out, decay_raw, skip = params.w_in, params.w_out, params.decay_raw, params.skip
+    if tokens.data.ndim == 3:
+        b = tokens.shape[0]
+        w_in, w_out, decay_raw = expand(w_in, b), expand(w_out, b), expand(decay_raw, b)
+        skip = expand(skip, b).reshape(b, 1, -1)
+    h = decay_scan(decay_raw.sigmoid(), tokens @ w_in.transpose())
+    return h @ w_out.transpose() + skip * tokens
 
 
-def encode(image, params):
-    """Patch-embed then run every block: LN -> scan -> residual add."""
-    pixels = image.pixels if isinstance(image, ImageSample) else image
+def encode(images, params):
+    """Patch-embed then run every block: LN -> scan -> residual add.
+
+    One study (an ImageSample or H x W pixels) gives (N, C) tokens; a
+    (B, H, W) stack of pixels gives (B, N, C).
+    """
+    pixels = images.pixels if isinstance(images, ImageSample) else images
     z = patch_embed(pixels, params.patch_size, params.w_embed)
     for block in params.blocks:
         z = z + selective_scan(layer_norm(z), block)
@@ -118,7 +138,7 @@ def encode(image, params):
 
 
 def pool_mean(z):
-    """Mean over the token axis: (N, C) -> (C,)."""
-    if z.data.shape[0] < 1:
+    """Mean over the token axis: (N, C) -> (C,), (B, N, C) -> (B, C)."""
+    if z.data.shape[-2] < 1:
         raise ValueError("pool_mean needs at least one token")
-    return z.mean(axis=0)
+    return z.mean(axis=-2)

@@ -307,8 +307,14 @@ class Stage1Model:
     def named(self):
         return {**self.encoder.named(), **self.bank.named()}
 
-    def forward(self, sample):
-        z = encode(sample, self.encoder)
+    def forward(self, studies):
+        """z (N, C), z̄ (C,), refined (14, C) and logits (14,) of one study;
+        a list of studies gives them with a leading batch axis, as one graph."""
+        if isinstance(studies, list):
+            pixels = np.stack([s.pixels for s in studies])
+        else:
+            pixels = studies.pixels
+        z = encode(pixels, self.encoder)
         refined = refine_dasts(self.bank, z, depth=self.cfg.refine_depth)
         logits = classify(refined, self.bank)
         return z, pool_mean(z), refined, logits
@@ -361,25 +367,25 @@ def _collector_paused():
 
 
 def run_stage1(cfg, samples, log_path=None):
-    """Optimize classification + alignment; returns (model, per-step log)."""
+    """Optimize classification + alignment; returns (model, per-step log).
+
+    Each step is one graph over the batch (`Stage1Model.forward` of a
+    list), with the bits of a graph of per-sample forwards.
+    """
     rng = np.random.default_rng(cfg.seed)
     model = Stage1Model.init(rng, cfg)
     opt = AdamW(model.named(), weight_decay=cfg.weight_decay)
-    text_cache = {s.study_id: model.text_encoder.encode(s.report) for s in samples}
     schedule = _BatchSchedule(len(samples), cfg.batch_size, rng)
+    texts = np.stack([model.text_encoder.encode(s.report).data for s in samples])
     log = []
     for step in range(1, cfg.total_steps + 1):
-        batch = [samples[i] for i in schedule.next()]
+        rows = schedule.next()
+        batch = [samples[i] for i in rows]
         lr = lr_at(step, cfg)
         with _collector_paused():
-            pooled, texts, logits, labels = [], [], [], []
-            for s in batch:
-                _, z_bar, _, lg = model.forward(s)
-                pooled.append(z_bar)
-                texts.append(text_cache[s.study_id])
-                logits.append(lg)
-                labels.append(s.labels)
-            total, parts = stage1_loss(pooled, texts, logits, labels, cfg.tau)
+            _, pooled, _, logits = model.forward(batch)
+            total, parts = stage1_loss(pooled, Tensor(texts[rows]), logits,
+                                       [s.labels for s in batch], cfg.tau)
             loss_value = total.item()
             opt.zero_grad()
             backward(total)

@@ -5,6 +5,11 @@ attention; each refined token feeds its own classifier head. A symmetric
 temperature-scaled contrastive objective aligns pooled visual features with
 frozen bag-of-words text embeddings. The total objective is the plain sum of
 the two parts.
+
+A training step runs the whole batch as one graph over a leading batch axis;
+each function here also takes one sample without it. In a batch the bank's
+parameters enter through `tensor.expand`, so a batched step's loss and
+gradients have the bits of a graph of per-sample forwards.
 """
 
 from __future__ import annotations
@@ -18,9 +23,12 @@ from .ontology import NUM_CATEGORIES
 from .tensor import (
     Tensor,
     concat,
+    expand,
+    gather_rows,
     layer_norm,
     logsumexp,
     scaled_dot_attention,
+    sum_rows,
     take_per_row,
 )
 
@@ -47,25 +55,45 @@ class DastBank:
 
 
 def refine_dasts(bank, z, depth=1):
-    """Cross-attend disease tokens over patch tokens; residual add + layer norm."""
-    refined = bank.tokens
+    """Cross-attend disease tokens over patch tokens; residual add + layer norm.
+
+    z is (N, C), giving (14, C), or a (B, N, C) stack, giving (B, 14, C).
+    Each sample reads the tokens twice, by the residual add and as the query,
+    and a per-sample graph adds those gradients in the order add 0, query 0,
+    add 1, query 1, ... So for a stack the tokens expand to 2B rows in that
+    order, and each read takes its own rows.
+    """
+    refined = query = bank.tokens
+    if z.data.ndim == 3:
+        reads = expand(bank.tokens, 2 * z.shape[0])
+        refined = gather_rows(reads, np.arange(0, len(reads.data), 2))
+        query = gather_rows(reads, np.arange(1, len(reads.data), 2))
     for _ in range(depth):
-        attended, _ = scaled_dot_attention(refined, z, z)
-        refined = layer_norm(refined + attended)
+        attended, _ = scaled_dot_attention(query, z, z)
+        refined = query = layer_norm(refined + attended)
     return refined
 
 
 def classify(refined, bank):
-    """Per-category logit from its own refined token only: <refined_d, head_d> + b_d."""
-    return (refined * bank.head_w).sum(axis=1) + bank.head_b
+    """Per-category logit from its own refined token only: <refined_d, head_d> + b_d.
+
+    (14, C) -> (14,); a (B, 14, C) stack gives (B, 14).
+    """
+    head_w, head_b = bank.head_w, bank.head_b
+    if refined.data.ndim == 3:
+        head_w, head_b = expand(head_w, len(refined.data)), expand(head_b, len(refined.data))
+    return (refined * head_w).sum(axis=-1) + head_b
 
 
 def loss_cls(logits, labels):
-    """Mean binary cross-entropy over the 14 categories, stable at any magnitude."""
+    """Mean binary cross-entropy over the 14 categories, stable at any magnitude.
+
+    (14,) logits give a scalar; (B, 14) give each sample's mean, (B,).
+    """
     y = Tensor(np.asarray(labels, dtype=np.float64))
     mag = logits.relu() + (-logits).relu()  # |x|
     per = logits.relu() - logits * y + ((-mag).exp() + 1.0).log()
-    return per.mean()
+    return per.mean(axis=-1)
 
 
 class HashTextEncoder:
@@ -122,14 +150,22 @@ def loss_ctl(visual, textual, tau):
     return 0.5 * row_ce + 0.5 * col_ce
 
 
-def stage1_loss(pooled_visuals, text_embeddings, per_sample_logits, per_sample_labels, tau):
-    """Total objective: classification mean over the batch plus alignment loss."""
-    cls_terms = [loss_cls(lg, lb) for lg, lb in zip(per_sample_logits, per_sample_labels)]
-    cls = cls_terms[0]
-    for t in cls_terms[1:]:
-        cls = cls + t
-    cls = cls * (1.0 / len(cls_terms))
-    vis = concat([v.reshape(1, -1) for v in pooled_visuals], axis=0)
-    txt = concat([t.reshape(1, -1) for t in text_embeddings], axis=0)
-    ctl = loss_ctl(vis, txt, tau)
+def _stacked(rows):
+    """A (B, ...) tensor as given, or a list of per-sample tensors stacked."""
+    if isinstance(rows, Tensor):
+        return rows
+    return concat([r.reshape(1, -1) for r in rows], axis=0)
+
+
+def stage1_loss(pooled_visuals, text_embeddings, logits, labels, tau):
+    """Total objective: classification mean over the batch plus alignment loss.
+
+    pooled_visuals and text_embeddings are (B, C), logits (B, 14) and labels
+    B rows of 14; lists of per-sample tensors are stacked first. The B
+    per-sample means add left to right (`sum_rows`), the order of a chain of
+    adds; numpy's pairwise sum would change the logged loss.
+    """
+    logits = _stacked(logits)
+    cls = sum_rows(loss_cls(logits, labels)) * (1.0 / logits.shape[0])
+    ctl = loss_ctl(_stacked(pooled_visuals), _stacked(text_embeddings), tau)
     return cls + ctl, {"loss_cls": cls.item(), "loss_ctl": ctl.item()}

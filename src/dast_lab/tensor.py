@@ -4,15 +4,28 @@ Everything in this repo computes on these tensors. The design is the usual
 micrograd-style graph: each primitive computes its forward value and hands
 ``_node`` one vector-Jacobian product (VJP) per input; ``_node`` alone
 decides whether to record the op, and ``backward(loss)`` runs the recorded
-VJPs in reverse topological order. Compute is float64 throughout so
-finite-difference gradient checks are tight.
+VJPs in reverse topological order, dropping each node's edges as soon as they
+have run. Compute is float64 throughout so finite-difference gradient checks
+are tight.
+
+A batch of samples is a leading axis. ``matmul``, ``transpose``,
+``decay_scan`` and ``scaled_dot_attention`` take (B, ...) stacks and compute
+each sample as its own product, so a sample's values are the bits it would
+get on its own. A parameter enters a batched graph through ``expand(p, B)``,
+one read-only copy per sample; ``expand``'s VJP, which adds the B per-sample
+gradients row after row from zero, is the only place where the backward pass
+sums across samples (``sum_rows`` is its forward counterpart). That is the
+order in which a graph of B separate per-sample forwards would accumulate
+into the parameter, so a batched step and that graph give the same gradient
+bits; one BLAS product over all B*N rows would not (it differs in the last
+bits).
 
 Any non-finite value produced by a primitive aborts immediately with the name
 of the offending op (silent NaN would poison every training test downstream).
 Ops that only move values (reshape, transpose, concat, gather_rows,
-take_per_row) skip that check: every tensor they read is finite already,
-because leaves are checked when made and `pipeline.AdamW` refuses an update
-that would make a parameter non-finite.
+take_per_row, expand) skip that check: every tensor they read is finite
+already, because leaves are checked when made and `pipeline.AdamW` refuses an
+update that would make a parameter non-finite.
 """
 
 from __future__ import annotations
@@ -36,7 +49,8 @@ _uid = itertools.count()
 
 # ops that only move values of their inputs: an output of one is finite when
 # its inputs are, so it is not checked again
-_MOVES = frozenset({"reshape", "transpose", "concat", "gather_rows", "take_per_row"})
+_MOVES = frozenset({"reshape", "transpose", "concat", "gather_rows", "take_per_row",
+                    "expand"})
 
 
 def _check_finite(arr, op):
@@ -46,6 +60,8 @@ def _check_finite(arr, op):
 
 def _unbroadcast(g, shape):
     """Sum gradient g down to `shape` (inverse of numpy broadcasting)."""
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for ax, size in enumerate(shape):
@@ -91,8 +107,10 @@ class Tensor:
 
     def _accum(self, g):
         if self.grad is None:
-            self.grad = np.zeros(self.data.shape)
-        self.grad += g
+            # one pass into a fresh array; the bits of zeros + g, signed zeros too
+            self.grad = np.add(g, 0.0, out=np.empty(self.data.shape))
+        else:
+            self.grad += g
 
     # -- elementwise / arithmetic ---------------------------------------------
 
@@ -183,9 +201,12 @@ class Tensor:
                      (self, lambda g: g.reshape(self.data.shape)))
 
     def transpose(self):
-        if self.data.ndim != 2:
-            raise ValueError(f"transpose expects a 2-d tensor, got shape {self.data.shape}")
-        return _node(self.data.T.copy(), "transpose", (self, lambda g: g.T))
+        """Swap the last two axes of a 2-d tensor or of a (B, n, m) stack."""
+        if self.data.ndim not in (2, 3):
+            raise ValueError(f"transpose expects a 2-d tensor or a (B, n, m) stack, "
+                             f"got shape {self.data.shape}")
+        return _node(self.data.swapaxes(-1, -2).copy(), "transpose",
+                     (self, lambda g: g.swapaxes(-1, -2)))
 
     # -- reductions ---------------------------------------------------------------
 
@@ -224,13 +245,46 @@ def _node(data, op, *edges):
 
 
 def matmul(a, b):
-    """Standard 2-d matrix product with recorded adjoints."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError(f"matmul expects 2-d tensors, got {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ValueError(f"matmul inner dimensions disagree: {a.data.shape} @ {b.data.shape}")
+    """Matrix product of two 2-d tensors, or of (B, n, k) and (B, k, m) stacks.
+
+    A stack is one product per sample, with the bits of the 2-d product. A
+    stack times a shared 2-d weight is refused: its weight gradient would be
+    one product over all B*n rows. Multiply by `expand(weight, B)` instead.
+    """
+    if a.data.ndim not in (2, 3) or b.data.ndim != a.data.ndim:
+        raise ValueError(f"matmul expects two 2-d tensors or two 3-d stacks, "
+                         f"got {a.data.shape} @ {b.data.shape}")
+    if a.data.shape[:-2] != b.data.shape[:-2] or a.data.shape[-1] != b.data.shape[-2]:
+        raise ValueError(f"matmul dimensions disagree: {a.data.shape} @ {b.data.shape}")
     return _node(a.data @ b.data, "matmul",
-                 (a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g))
+                 (a, lambda g: g @ b.data.swapaxes(-1, -2)),
+                 (b, lambda g: a.data.swapaxes(-1, -2) @ g))
+
+
+def _sum_rows(arr):
+    """Sum over the leading axis, row after row from zero."""
+    total = np.zeros(arr.shape[1:])
+    for row in arr:
+        total += row
+    return total
+
+
+def expand(x, n):
+    """x repeated along a new leading axis of n rows: (n, *x.shape).
+
+    The forward is a read-only broadcast view. The VJP adds the n row
+    gradients in row order from zero, as n separate uses of x would
+    accumulate them; numpy's sum is free to pair terms up (it does along a
+    contiguous axis), which rounds differently.
+    """
+    return _node(np.broadcast_to(x.data, (n,) + x.data.shape), "expand", (x, _sum_rows))
+
+
+def sum_rows(x):
+    """Sum over the leading axis, row after row from zero: the value of a
+    chain of adds over per-sample terms (`expand` is its adjoint)."""
+    return _node(_sum_rows(x.data), "sum_rows",
+                 (x, lambda g: np.broadcast_to(g, x.data.shape)))
 
 
 def softmax(x, axis=-1):
@@ -297,7 +351,7 @@ def _scatter_add(like, index, g):
 
 
 def gather_rows(x, indices):
-    """Select rows of a 2-d tensor; duplicate indices accumulate gradient."""
+    """Select entries along axis 0; duplicate indices accumulate gradient."""
     idx = np.asarray(indices, dtype=np.int64)
     return _node(x.data[idx], "gather_rows", (x, lambda g: _scatter_add(x.data, idx, g)))
 
@@ -311,26 +365,31 @@ def take_per_row(x, cols):
 
 
 def decay_scan(decay, u):
-    """Linear recurrence h_i = decay * h_{i-1} + u_i over axis 0.
+    """Linear recurrence h_i = decay * h_{i-1} + u_i along the token axis.
 
-    decay has shape (C,), u has shape (N, C); one Python pass forward and one
-    reverse pass backward, so cost is O(N*C).
+    decay (C,) with u (N, C), or a stack: decay (B, C) with u (B, N, C). One
+    Python pass over N forward and one reverse pass backward, so cost is
+    O(B*N*C); every step is elementwise, so each sample gets its own bits.
     """
-    if decay.data.ndim != 1 or u.data.ndim != 2 or decay.data.shape[0] != u.data.shape[1]:
-        raise ValueError(f"decay_scan shapes disagree: decay {decay.data.shape}, u {u.data.shape}")
-    a = decay.data
-    h = np.empty_like(u.data)
+    a, x = decay.data, u.data
+    if a.ndim not in (1, 2) or x.ndim != a.ndim + 1 or a.shape[:-1] != x.shape[:-2] \
+            or a.shape[-1] != x.shape[-1]:
+        raise ValueError(f"decay_scan shapes disagree: decay {a.shape}, u {x.shape}")
+    h = np.empty_like(x)
+    # views with the token axis first, where indexing a step is cheapest
+    xs, hs = x.swapaxes(0, -2), h.swapaxes(0, -2)
     state = np.zeros_like(a)
-    for i in range(u.data.shape[0]):
-        state = a * state + u.data[i]
-        h[i] = state
+    for i in range(len(xs)):
+        state = a * state + xs[i]
+        hs[i] = state
 
     def reverse_scan(g):
         gbar = np.empty_like(g)
+        gs, out = g.swapaxes(0, -2), gbar.swapaxes(0, -2)
         acc = np.zeros_like(a)
-        for i in range(g.shape[0] - 1, -1, -1):
-            acc = g[i] + a * acc
-            gbar[i] = acc
+        for i in range(len(gs) - 1, -1, -1):
+            acc = gs[i] + a * acc
+            out[i] = acc
         return gbar
 
     # vjps run in input order, so decay's leaves its reverse scan for u's
@@ -338,23 +397,28 @@ def decay_scan(decay, u):
 
     def decay_vjp(g):
         scanned.append(reverse_scan(g))
-        return (scanned[0][1:] * h[:-1]).sum(axis=0)  # dL/da_c = sum_i gbar[i] * h[i-1]
+        # dL/da_c = sum_i gbar[i] * h[i-1]
+        return (scanned[0][..., 1:, :] * h[..., :-1, :]).sum(axis=-2)
     return _node(h, "decay_scan", (decay, decay_vjp),
                  (u, lambda g: scanned.pop() if scanned else reverse_scan(g)))
 
 
 def scaled_dot_attention(q, k, v, mask=None):
-    """softmax(q kᵀ / sqrt(C) [+ mask]) v. Returns (output, weights); weight rows sum to 1."""
-    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
-        raise ValueError("scaled_dot_attention expects 2-d q, k, v")
-    if q.data.shape[1] != k.data.shape[1] or k.data.shape[0] != v.data.shape[0]:
+    """softmax(q kᵀ / sqrt(C) [+ mask]) v over 2-d q, k, v or (B, ., C) stacks.
+
+    Returns (output, weights); weight rows sum to 1.
+    """
+    nd = q.data.ndim
+    if nd not in (2, 3) or k.data.ndim != nd or v.data.ndim != nd:
+        raise ValueError("scaled_dot_attention expects 2-d q, k, v or three (B, ., C) stacks")
+    if q.data.shape[-1] != k.data.shape[-1] or k.data.shape[-2] != v.data.shape[-2]:
         raise ValueError(f"scaled_dot_attention shapes disagree: "
                          f"q {q.data.shape}, k {k.data.shape}, v {v.data.shape}")
-    scale = 1.0 / math.sqrt(q.data.shape[1])
+    scale = 1.0 / math.sqrt(q.data.shape[-1])
     scores = matmul(q, k.transpose()) * scale
     if mask is not None:
         scores = scores + mask
-    weights = softmax(scores, axis=1)
+    weights = softmax(scores, axis=-1)
     return matmul(weights, v), weights
 
 
@@ -383,7 +447,9 @@ def _topological_order(root):
 def backward(loss):
     """Fill .grad of every requires_grad tensor reachable from a scalar loss.
 
-    The graph is released afterwards; a second call on the same loss raises.
+    The graph is released as it runs: each node drops its edges once its
+    VJPs have run, so an intermediate gradient nobody holds is freed at once
+    rather than at the end. A second call on the same loss raises.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -392,11 +458,11 @@ def backward(loss):
                          "rebuild the forward pass before calling backward again")
     topo = _topological_order(loss)
     loss.grad = np.ones_like(loss.data)
-    for t in reversed(topo):
+    while topo:
+        t = topo.pop()
         for p, vjp in t._prev:
             if p.requires_grad:
                 p._accum(vjp(t.grad))
-    for t in topo:
         t._released = True
         t._prev = ()
 

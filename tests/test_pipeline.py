@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import json
 import math
 from dataclasses import asdict
 
@@ -6,12 +8,13 @@ import numpy as np
 import pytest
 
 from conftest import make_samples
-from dast_lab import dmsr
+from dast_lab import dmsr, store
 from dast_lab.pipeline import (
     PHASE_A_EXEMPLARS,
     AdamW,
     CheckpointError,
     Stage1Config,
+    Stage1Model,
     Stage2Config,
     build_index,
     generate_reports,
@@ -32,7 +35,17 @@ from dast_lab.pipeline import (
     _BatchSchedule,
     _prepare_caches,
 )
-from dast_lab.tensor import NonFiniteError, Tensor
+from dast_lab.encoder import patch_grid
+from dast_lab.stage1 import loss_cls, loss_ctl, stage1_loss
+from dast_lab.tensor import (
+    NonFiniteError,
+    Tensor,
+    backward,
+    concat,
+    decay_scan,
+    layer_norm,
+    scaled_dot_attention,
+)
 
 
 def rng(seed=0):
@@ -283,6 +296,88 @@ def test_stage1_deterministic_across_runs():
     _, log_a = run_stage1(cfg, samples)
     _, log_b = run_stage1(cfg, samples)
     assert [r["loss"] for r in log_a] == [r["loss"] for r in log_b]
+
+
+def _per_sample_forward(model, pixels):
+    """z̄ and logits of one study from 2-d primitives: the graph that stage 1
+    built per sample before it took a batch axis."""
+    enc, bank = model.encoder, model.bank
+    z = Tensor(patch_grid(pixels, enc.patch_size)) @ enc.w_embed
+    for b in enc.blocks:
+        x = layer_norm(z)
+        h = decay_scan(b.decay_raw.sigmoid(), x @ b.w_in.transpose())
+        z = z + (h @ b.w_out.transpose() + b.skip * x)
+    refined = bank.tokens
+    for _ in range(model.cfg.refine_depth):
+        attended, _ = scaled_dot_attention(refined, z, z)
+        refined = layer_norm(refined + attended)
+    return z.mean(axis=0), (refined * bank.head_w).sum(axis=1) + bank.head_b
+
+
+def _per_sample_loss(model, batch, tau):
+    """Per-sample forwards, an add chain of loss_cls terms, concat + loss_ctl."""
+    pooled, cls = [], None
+    for s in batch:
+        z_bar, logits = _per_sample_forward(model, s.pixels)
+        term = loss_cls(logits, s.labels)
+        cls = term if cls is None else cls + term
+        pooled.append(z_bar.reshape(1, -1))
+    texts = [model.text_encoder.encode(s.report).reshape(1, -1) for s in batch]
+    return cls * (1.0 / len(batch)) + loss_ctl(concat(pooled), concat(texts), tau)
+
+
+@pytest.mark.parametrize("batch_size", [1, 3, 8])
+@pytest.mark.parametrize("depth,refine_depth", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_batched_step_has_the_bits_of_the_per_sample_graph(batch_size, depth, refine_depth):
+    cfg = Stage1Config(channels=8, depth=depth, refine_depth=refine_depth, seed=4, tau=0.5)
+    model = Stage1Model.init(rng(4), cfg)
+    # train a few steps first, so that every parameter is away from its init
+    run = run_stage1(Stage1Config(**{**asdict(cfg), "total_steps": 3, "warmup_steps": 0,
+                                     "base_lr": 3e-2, "batch_size": 8}),
+                     make_samples(12, seed=6))[0]
+    for name, t in model.named().items():
+        t.data = run.named()[name].data.copy()
+    batch = make_samples(batch_size, seed=8)
+    params = model.named()
+
+    expect = _per_sample_loss(model, batch, cfg.tau)
+    backward(expect)
+    want = {n: t.grad for n, t in params.items()}
+    for t in params.values():
+        t.zero_grad()
+    outputs = model.forward(batch)
+    _, pooled, _, logits = outputs
+    texts = Tensor(np.stack([model.text_encoder.encode(s.report).data for s in batch]))
+    total, _ = stage1_loss(pooled, texts, logits, [s.labels for s in batch], cfg.tau)
+    backward(total)
+
+    assert total.item() == expect.item()
+    for name, t in params.items():
+        assert np.array_equal(t.grad, want[name]), name
+    # a study's forward on its own gives the bits of its row in the batch
+    for i, s in enumerate(batch):
+        for whole, one in zip(outputs, model.forward(s)):
+            assert np.array_equal(whole.data[i], one.data)
+
+
+# SHA-256 of the trained stage-1 arrays and of the step log, per refine depth,
+# as written by the per-sample graph stage 1 trained with before its batch axis
+GOLDEN_STAGE1 = {
+    1: ("819088eff062d5e8d0f117b1cccfc45f86b2cda1c7de80affefafeefd1c4df97",
+        "73464e6d92ddf6ca7c069658c969ade6de0a79c1fd32c11e670e9401c7fa54a1"),
+    2: ("350a6b781d662b2b43a6d33108a61ed9cfe42faae277f2adfbd18de3fe3540af",
+        "575282bf29e0312408a03a6949f50cd99ebb71a863a67171cced133bfb16f6e3"),
+}
+
+
+@pytest.mark.parametrize("refine_depth", sorted(GOLDEN_STAGE1))
+def test_stage1_training_writes_its_golden_bits(refine_depth):
+    cfg = Stage1Config(base_lr=3e-3, warmup_steps=2, total_steps=6, batch_size=8,
+                       channels=8, depth=2, refine_depth=refine_depth, seed=7, tau=1.0)
+    model, log = run_stage1(cfg, make_samples(20, seed=7, image_size=16))
+    arrays = {n: t.data for n, t in model.named().items()}
+    log_digest = hashlib.sha256(json.dumps(log, sort_keys=True).encode()).hexdigest()
+    assert (store.sha256(arrays), log_digest) == GOLDEN_STAGE1[refine_depth]
 
 
 def test_stage1_checkpoint_roundtrip_preserves_forward():

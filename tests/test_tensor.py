@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +174,39 @@ def test_backward_twice_errors():
         backward(loss)
 
 
+def test_backward_frees_intermediate_gradients_as_it_runs():
+    # 41 recorded nodes of 256 x 256; holding every gradient to the end
+    # raised the traced peak by about 20 MB during backward
+    x = Tensor(rng(30).normal(size=(256, 256)), requires_grad=True)
+    h = x
+    for _ in range(20):
+        h = (h * 0.5).tanh()
+    loss = h.sum()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 6 * 2 ** 20
+    assert x.grad.shape == (256, 256)
+    with pytest.raises(GraphError):
+        backward(loss)
+
+
+def test_first_gradient_keeps_the_bits_of_zeros_plus_g():
+    x = Tensor(np.zeros(4), requires_grad=True)
+    g = np.array([-0.0, 0.0, -1.5, 2.0 ** -1074])
+    x._accum(g)
+    expect = np.zeros(4) + g
+    assert np.array_equal(x.grad, expect)
+    assert np.array_equal(np.signbit(x.grad), np.signbit(expect))
+    assert x.grad is not g
+    g[2] = 7.0  # the stored gradient is a copy
+    assert x.grad[2] == -1.5
+
+
 def test_gradients_accumulate_across_graphs():
     x = Tensor([1.0], requires_grad=True)
     backward((x * 2.0).sum())
@@ -288,6 +322,71 @@ def test_decay_scan_grad_check():
     assert grad_check(f, [a, u]) < 1e-6
 
 
+# -- the batch axis ------------------------------------------------------------------
+
+
+def _in_order(rows):
+    total = 0.0
+    for row in rows:
+        total = total + row
+    return total
+
+
+def _pairwise_differs():
+    # one large term, then terms below half its ulp: an in-order sum drops
+    # every small term, numpy's pairwise sum adds them up first
+    w = np.full(16, 1e-16)
+    w[0] = 1.0
+    assert _in_order(w) != w.sum()
+    return w
+
+
+def test_expand_is_a_read_only_view_and_its_vjp_sums_rows_in_order():
+    x = Tensor(rng(31).normal(), requires_grad=True)
+    out = T.expand(x, 16)
+    assert out.data.shape == (16,) and out.op == "expand"
+    assert np.shares_memory(out.data, x.data) and not out.data.flags.writeable
+    w = _pairwise_differs()
+    backward((out * Tensor(w)).sum())
+    assert x.grad == _in_order(w)
+
+
+def test_sum_rows_adds_rows_in_order():
+    w = _pairwise_differs()
+    x = Tensor(w, requires_grad=True)
+    out = T.sum_rows(x)
+    assert out.item() == _in_order(w)
+    backward(out * 3.0)
+    assert np.array_equal(x.grad, np.full(16, 3.0))
+
+
+def test_stacked_ops_give_each_sample_its_per_sample_bits():
+    r = rng(32)
+    a, b = r.normal(size=(3, 5, 4)), r.normal(size=(3, 4, 6))
+    decay, u = r.uniform(0.2, 0.9, (3, 4)), r.normal(size=(3, 7, 4))
+    stacked = [Tensor(v, requires_grad=True) for v in (a, b, decay, u)]
+    weights = r.normal(size=(3, 5, 6)), r.normal(size=(3, 7, 4))
+    backward((matmul(stacked[0], stacked[1]) * Tensor(weights[0])).sum()
+             + (decay_scan(stacked[2], stacked[3]) * Tensor(weights[1])).sum())
+    for i in range(3):
+        single = [Tensor(v[i], requires_grad=True) for v in (a, b, decay, u)]
+        prod, scan = matmul(single[0], single[1]), decay_scan(single[2], single[3])
+        assert np.array_equal(prod.data, a[i] @ b[i])
+        assert np.array_equal(scan.data, decay_scan(Tensor(decay[i]), Tensor(u[i])).data)
+        backward((prod * Tensor(weights[0][i])).sum() + (scan * Tensor(weights[1][i])).sum())
+        for whole, one in zip(stacked, single):
+            assert np.array_equal(whole.grad[i], one.grad)
+
+
+def test_stacked_matmul_refuses_a_shared_2d_operand():
+    with pytest.raises(ValueError):
+        matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((4, 5))))
+    with pytest.raises(ValueError):
+        matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 5))))
+    with pytest.raises(ValueError):
+        decay_scan(Tensor(np.ones((2, 4))), Tensor(np.ones((3, 5, 4))))
+
+
 # -- misc primitives used across the repo ---------------------------------------------
 
 
@@ -383,6 +482,10 @@ PRIMITIVES = {
     "mean axis 1": ([_normal(3, 4)], lambda a: a.mean(axis=1)),
     "mean axis 0 keepdims": ([_normal(3, 4)], lambda a: a.mean(axis=0, keepdims=True)),
     "matmul": ([_normal(3, 4), _normal(4, 2)], matmul),
+    "matmul batched": ([_normal(2, 3, 4), _normal(2, 4, 2)], matmul),
+    "transpose batched": ([_normal(2, 3, 4)], lambda a: a.transpose()),
+    "expand": ([_normal(3, 2)], lambda a: T.expand(a, 4)),
+    "sum_rows": ([_normal(4, 3)], T.sum_rows),
     "softmax axis 0": ([_normal(3, 4)], lambda a: softmax(a, axis=0)),
     "logsumexp axis 0": ([_normal(3, 4)], lambda a: logsumexp(a, axis=0)),
     "layer_norm affine": ([_normal(3, 4), _normal(4), _normal(4)], layer_norm),
@@ -391,6 +494,8 @@ PRIMITIVES = {
     "gather_rows": ([_normal(4, 3)], lambda a: T.gather_rows(a, [0, 2, 2])),
     "take_per_row": ([_normal(3, 5)], lambda a: T.take_per_row(a, [1, 0, 4])),
     "decay_scan": ([lambda r: r.uniform(0.2, 0.8, 4), _normal(5, 4)], decay_scan),
+    "decay_scan batched": ([lambda r: r.uniform(0.2, 0.8, (2, 4)), _normal(2, 5, 4)],
+                           decay_scan),
 }
 
 
