@@ -31,7 +31,7 @@ from .pipeline import (
     stage2_arrays,
     stage2_from_arrays,
 )
-from .synth import SyntheticSpec, gen_dataset, load_manifest_path, load_split
+from .synth import SyntheticSpec, gen_dataset, load_manifest_path, load_split, read_manifest
 
 
 def _env_seed(default=None):
@@ -122,11 +122,12 @@ def cmd_generate(args):
 
 
 def _reference_reports(data_dir):
+    """{study_id: report} from the manifests alone; no image is read."""
     refs = {}
     for split in ("train", "val", "test"):
         if (Path(data_dir) / f"{split}.jsonl").exists():
-            for s in load_split(data_dir, split):
-                refs[s.study_id] = s.report
+            refs.update((row["study_id"], row["report"])
+                        for row in read_manifest(data_dir, split))
     return refs
 
 

@@ -8,9 +8,13 @@ sentence per active finding and (sometimes) a negated mention of an inactive
 one. Labels, pixels, and text therefore stay mutually consistent and the
 rule labeler can read back exactly what was planted.
 
-On disk: per-split JSONL manifests ({study_id, image_path, labels, report})
-plus raw little-endian float64 image blobs, one file per image; the image
-shape (image_size x image_size) comes from dataset.json.
+On disk: per-split JSONL manifests ({study_id, images, labels, report}), a
+dataset.json descriptor, and one image container per split (train.images,
+val.images, test.images), each a `store` file with magic DLIMG1 whose header
+lists the split's study ids in manifest order and whose one array `pixels`
+is (n, image_size, image_size) float64, under a SHA-256 trailer. A row's
+`images` names the container that holds its pixels, so a manifest built from
+another split's lines still loads.
 """
 
 from __future__ import annotations
@@ -21,10 +25,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import store
 from .encoder import ImageSample
 from .ontology import CATEGORIES, FINDING_PHRASES, NUM_CATEGORIES
 
 LEAD_SENTENCE = "The chest is clear."
+IMAGES_MAGIC = b"DLIMG1"
 _CUE_WORDS = ("No", "Without", "Negative for", "Free of")
 
 
@@ -83,6 +89,7 @@ def _walsh16():
 
 _WALSH = _walsh16()
 _texture_cache = {}
+_painted_cache = {}  # motif_texture scaled by a pattern's intensity
 
 
 def motif_texture(category_index, size):
@@ -104,8 +111,10 @@ def motif_texture(category_index, size):
 def _paint(pixels, pattern, image_size, category_index):
     b = image_size // 4
     r, c = pattern.block
-    pixels[r * b:(r + 1) * b, c * b:(c + 1) * b] = \
-        pattern.intensity * motif_texture(category_index, b)
+    key = (category_index, b, pattern.intensity)
+    if key not in _painted_cache:
+        _painted_cache[key] = pattern.intensity * motif_texture(category_index, b)
+    pixels[r * b:(r + 1) * b, c * b:(c + 1) * b] = _painted_cache[key]
 
 
 def make_study(spec, rng, study_id):
@@ -117,13 +126,17 @@ def make_study(spec, rng, study_id):
     """
     pixels = np.full((spec.image_size, spec.image_size),
                      rng.uniform(0.02, 0.12))
-    labels = [int(rng.random() < p) for p in spec.finding_probs]
+    # one draw per category, then one per inactive category in category
+    # order: rng.random(n) gives the doubles of n rng.random() calls
+    labels = [int(u < p) for u, p in zip(rng.random(NUM_CATEGORIES).tolist(),
+                                         spec.finding_probs)]
+    negated = iter(rng.random(labels.count(0)).tolist())
     sentences = [LEAD_SENTENCE]
     for d, pattern in enumerate(spec.patterns):
         if labels[d]:
             _paint(pixels, pattern, spec.image_size, d)
             sentences.append(pattern.positive_sentence)
-        elif rng.random() < spec.negated_mention_prob:
+        elif next(negated) < spec.negated_mention_prob:
             sentences.append(pattern.negated_sentence)
     return ImageSample(pixels=pixels, study_id=study_id, labels=labels,
                        report=" ".join(sentences))
@@ -138,28 +151,28 @@ def split_studies(n, rng):
             sorted(order[n_train + n_val:]))
 
 
+class DatasetError(ValueError):
+    """A manifest, image container or descriptor that does not fit the others."""
+
+
 def gen_dataset(spec, out_dir):
-    """Write images plus train/val/test manifests; fully determined by the seed."""
+    """Write the image containers plus train/val/test manifests; fully
+    determined by the seed."""
     out = Path(out_dir)
-    (out / "images").mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(spec.seed)
     studies = [make_study(spec, rng, f"synth{i:05d}") for i in range(spec.n_studies)]
     train, val, test = split_studies(spec.n_studies, rng)
 
-    for s in studies:
-        blob = out / "images" / f"{s.study_id}.f64"
-        blob.write_bytes(s.pixels.astype("<f8").tobytes())
-
+    size = spec.image_size
     for name, indices in (("train", train), ("val", val), ("test", test)):
-        lines = []
-        for i in indices:
-            s = studies[i]
-            lines.append(json.dumps({
-                "study_id": s.study_id,
-                "image_path": f"images/{s.study_id}.f64",
-                "labels": s.labels,
-                "report": s.report,
-            }, sort_keys=True))
+        split = [studies[i] for i in indices]
+        store.write(out / f"{name}.images", IMAGES_MAGIC,
+                    {"study_ids": [s.study_id for s in split]},
+                    {"pixels": np.reshape([s.pixels for s in split], (len(split), size, size))})
+        lines = [json.dumps({"study_id": s.study_id, "images": f"{name}.images",
+                             "labels": s.labels, "report": s.report}, sort_keys=True)
+                 for s in split]
         (out / f"{name}.jsonl").write_text("\n".join(lines) + ("\n" if lines else ""))
 
     info = {"n_studies": spec.n_studies, "image_size": spec.image_size,
@@ -169,26 +182,54 @@ def gen_dataset(spec, out_dir):
     return studies
 
 
-def load_split(data_dir, split):
-    """Read one split manifest back into ImageSamples."""
-    root = Path(data_dir)
+def read_manifest(data_dir, split):
+    """The rows of one split manifest (a split name or a .jsonl file name),
+    without reading any image."""
     name = str(split)
-    manifest = root / (name if name.endswith(".jsonl") else f"{name}.jsonl")
+    manifest = Path(data_dir) / (name if name.endswith(".jsonl") else f"{name}.jsonl")
     if not manifest.exists():
         raise FileNotFoundError(f"missing manifest {manifest}")
+    return [json.loads(line) for line in manifest.read_text().splitlines()]
+
+
+def _read_images(path, size):
+    """({study_id: row index}, pixels) of one image container, its (H, W) checked."""
+    meta, arrays = store.read(path, IMAGES_MAGIC, DatasetError)
+    ids, pixels = meta.get("study_ids"), arrays.get("pixels")
+    if not isinstance(ids, list) or pixels is None or pixels.ndim != 3 \
+            or len(pixels) != len(ids):
+        raise DatasetError(f"{path}: corrupt image container: no study_ids list "
+                           f"matching a (n, H, W) pixels array")
+    if pixels.shape[1:] != (size, size):
+        raise DatasetError(f"{path} holds {pixels.shape[1]}x{pixels.shape[2]} images but "
+                           f"dataset.json gives image_size {size}")
+    return {sid: j for j, sid in enumerate(ids)}, pixels
+
+
+def load_split(data_dir, split):
+    """Read one split manifest back into ImageSamples. Each container the
+    rows name is read once; a sample's pixels are a row of its one array."""
+    root = Path(data_dir)
+    rows = read_manifest(root, split)
     info = root / "dataset.json"
     if not info.exists():
         raise FileNotFoundError(f"missing dataset descriptor {info}")
     size = json.loads(info.read_text())["image_size"]
-    samples = []
-    for line in manifest.read_text().splitlines():
-        row = json.loads(line)
-        blob = (root / row["image_path"]).read_bytes()
-        if len(blob) != 8 * size * size:
-            raise ValueError(f"image blob size disagrees with dataset.json for {row['study_id']}")
-        pixels = np.frombuffer(blob, dtype="<f8").reshape(size, size)
-        samples.append(ImageSample(pixels=pixels.copy(), study_id=row["study_id"],
-                                   labels=row["labels"], report=row["report"]))
+    containers, samples = {}, []
+    for row in rows:
+        if "images" not in row:
+            raise DatasetError(f"study {row.get('study_id')} names no image container: "
+                               f"the per-image layout (image_path) is no longer read; "
+                               f"regenerate the dataset with gen-data")
+        path = root / row["images"]
+        if path not in containers:
+            containers[path] = _read_images(path, size)
+        index, pixels = containers[path]
+        if row["study_id"] not in index:
+            raise DatasetError(f"study {row['study_id']} is not in {path}")
+        samples.append(ImageSample(pixels=pixels[index[row["study_id"]]],
+                                   study_id=row["study_id"], labels=row["labels"],
+                                   report=row["report"]))
     return samples
 
 

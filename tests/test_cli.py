@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -93,6 +94,21 @@ def test_generate_and_evaluate_roundtrip(workspace):
     for key in ("bleu_1", "bleu_2", "bleu_3", "bleu_4", "rouge_l", "cider", "clinical"):
         assert key in out
     assert "macro" in out["clinical"] and "micro" in out["clinical"]
+
+
+def test_evaluate_reads_the_manifests_alone(workspace, tmp_path):
+    _, data = workspace
+    refs = tmp_path / "refs"
+    refs.mkdir()
+    for name in ("train.jsonl", "val.jsonl", "test.jsonl"):  # no image container
+        (refs / name).write_bytes((data / name).read_bytes())
+    rows = [json.loads(x) for x in (data / "test.jsonl").read_text().splitlines()]
+    (tmp_path / "hyp.jsonl").write_text("".join(
+        json.dumps({"study_id": r["study_id"], "hypothesis": r["report"]}) + "\n"
+        for r in rows))
+    assert main(["evaluate", "--hyp", str(tmp_path / "hyp.jsonl"), "--ref", str(refs),
+                 "--out", str(tmp_path / "metrics.json")]) == 0
+    assert json.loads((tmp_path / "metrics.json").read_text())["bleu_4"] == 1.0
 
 
 def test_query_index_matches_oracle(workspace, capsys):
@@ -263,3 +279,25 @@ def test_import_pins_blas_to_one_thread_unless_set(preset):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout.split()
     assert out == ["1", preset or "1", "1"]
+
+
+GOLDEN_DISK = {  # recorded with the per-image dataset layout: the pixels keep their bits
+    "stage1.ckpt": "00340c949b2605202542ef1b2de3953235f2d8918b7c5c8d2ee4f97d00e5317e",
+    "train.dmsr": "862cb137d3a1928846f27a9031b33c5a1cdcb217f3b3645258fb61e6a3b32976",
+}
+
+
+def test_disk_pipeline_writes_its_golden_bits(tmp_path):
+    # gen-data -> train-stage1 -> build-index read the dataset back from disk
+    data = tmp_path / "data"
+    (tmp_path / "s1.cfg").write_text("total_steps = 6\nwarmup_steps = 2\nbatch_size = 8\n"
+                                     "channels = 8\ndepth = 1\nseed = 3\n")
+    assert main(["gen-data", "--n", "40", "--image-size", "16", "--seed", "4",
+                 "--out", str(data)]) == 0
+    assert main(["train-stage1", "--data", str(data), "--config", str(tmp_path / "s1.cfg"),
+                 "--out-ckpt", str(tmp_path / "stage1.ckpt")]) == 0
+    assert main(["build-index", "--data", str(data), "--ckpt", str(tmp_path / "stage1.ckpt"),
+                 "--out-index", str(tmp_path / "train.dmsr")]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in GOLDEN_DISK}
+    assert digests == GOLDEN_DISK

@@ -1,6 +1,8 @@
 """The one persistence layer: the container, model loading, provenance, fuzzing."""
 
+import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,3 +159,37 @@ def test_index_rejects_nonfinite_vectors():
         dmsr.add_exemplar(index, dmsr.ExemplarRecord("a", [1.0, np.inf, 0.0],
                                                      np.ones(14), "r"))
     assert len(index) == 0
+
+
+def test_write_keeps_its_bytes_and_zero_d_arrays_round_trip_as_zero_d(tmp_path):
+    arrays = {"w": np.arange(12.0).reshape(3, 4) / 7, "t": np.arange(6.0).reshape(2, 3).T,
+              "s": np.array(3.25), "e": np.zeros((0, 5))}
+    path = tmp_path / "golden.bin"
+    store.write(path, b"DLTEST1", {"kind": "golden", "n": [1, 2]}, arrays)
+    # the digest of the same call when write joined the whole body first
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "b6955b01508bc4070894b01648465ec26172f6647a1cbb6c3fd845d8416957ff"
+    meta, back = store.read(path, b"DLTEST1", ValueError)
+    assert meta == {"kind": "golden", "n": [1, 2]}
+    for name, a in arrays.items():
+        assert back[name].shape == a.shape and back[name].tobytes() == a.tobytes(), name
+    assert back["s"].shape == () and back["s"].flags.writeable
+
+
+def test_write_streams_and_read_holds_one_buffer(tmp_path):
+    a = np.random.default_rng(0).normal(size=(256, 512))  # 1 MiB
+    path = tmp_path / "big.bin"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        store.write(path, b"DLTEST1", {}, {"a": a})
+        write_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        _, back = store.read(path, b"DLTEST1", ValueError)
+        read_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert write_peak < a.nbytes // 16  # no copy of the array or the body
+    assert a.nbytes <= read_peak < a.nbytes * 17 // 16  # the one buffer the views share
+    assert back["a"].tobytes() == a.tobytes()
