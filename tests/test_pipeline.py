@@ -535,6 +535,41 @@ def test_stage2_checkpoint_roundtrip_generation_identical(stage2_setup, tmp_path
     assert [r["study_id"] for r in a] == sorted(r["study_id"] for r in a)
 
 
+# Length and SHA-256 of the phase-B log, SHA-256 of the trained stage-2 arrays
+# and of the decoded rows, with DVAF and DMSR on, per early-stop loss: at 0
+# all 100 phase-B steps run; 100.0 lies above the loss, so the first check
+# (after step 50) stops the run
+GOLDEN_STAGE2 = {
+    0.0: (100, "90d73e4796413f4a928fcae6950f167319315eb9fcead801631b2a436fae1874",
+          "14167806e5ddf2391aaf41cc857264173465cfbeea96b23cd7e38a07b1df7465",
+          "a7b54df584b1226f38111e08c085b606dc946b0d39cd7c923e4d915694165d6c"),
+    100.0: (50, "d75f5a487dcd18a73cd8d095c70f9509af1cca65fdf7c723b3579d1644562701",
+            "911f95507876b84895c15885d2ede8ef3598c4761a2aea4929f42282ac7fd584",
+            "a7b54df584b1226f38111e08c085b606dc946b0d39cd7c923e4d915694165d6c"),
+}
+
+
+@pytest.mark.parametrize("early_stop_loss", sorted(GOLDEN_STAGE2))
+def test_stage2_training_writes_its_golden_bits(early_stop_loss):
+    samples = make_samples(6, seed=29, image_size=16)
+    cfg1 = Stage1Config(base_lr=3e-3, warmup_steps=2, total_steps=6, batch_size=4,
+                        channels=8, depth=1, seed=31, tau=1.0)
+    stage1, _ = run_stage1(cfg1, samples)
+    index = build_index(stage1, samples)
+    cfg = Stage2Config(base_lr=3e-3, warmup_steps=10, total_steps=100, batch_size=2,
+                       seed=37, decoder_width=24, decoder_blocks=1,
+                       decoder_pretrain_steps=80, decoder_pretrain_lr=5e-3,
+                       max_positions=192, max_report_len=24,
+                       early_stop_loss=early_stop_loss)
+    assert cfg.use_dast_dvaf and cfg.use_dmsr
+    model, log = run_stage2(cfg, samples, stage1_arrays(stage1), index)
+    rows = generate_reports(model, samples, index)
+    arrays = {n: t.data for n, t in model.named().items()}
+    digest = [hashlib.sha256(json.dumps(x, sort_keys=True).encode()).hexdigest()
+              for x in (log, rows)]
+    assert (len(log), store.sha256(arrays), *digest) == GOLDEN_STAGE2[early_stop_loss]
+
+
 def test_stage2_deterministic(stage2_setup):
     samples, arrays, index, _, _ = stage2_setup
     cfg = Stage2Config(**{**STAGE2_CFG, "total_steps": 8, "warmup_steps": 2,
