@@ -5,7 +5,8 @@ Stage 1 trains the encoder, disease tokens, and classifier heads. Stage 2
 first pretrains the small decoder on the prompt layout (its stand-in for
 being a pretrained language model), then freezes everything except the
 projection matrix and its layer-norm affine and optimizes the language
-modeling loss, optionally with retrieved exemplar prompts.
+modeling loss, optionally with retrieved exemplar prompts. One loop,
+`_train`, runs every optimizer step of stage 1 and of both stage-2 phases.
 
 Each model holds the resolved config of its stage as `cfg`: `Stage1Config`
 (encoder, DASTs, tau) or `Stage2Config` (DVAF, DMSR, lambda, decoder), which
@@ -25,7 +26,6 @@ import hashlib
 import json
 import math
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -74,11 +74,15 @@ class _SharedConfig:
     weight_decay: float = 0.01
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.base_lr <= 0:
             raise ValueError("base_lr must be positive")
         if not 0 <= self.warmup_steps <= self.total_steps:
             raise ValueError("warmup_steps must lie in [0, total_steps]")
         self._at_least(1, "batch_size", "total_steps")
+        self._at_least(0, "weight_decay")
 
     def _at_least(self, bound, *names):
         for name in names:
@@ -119,6 +123,8 @@ class Stage2Config(_SharedConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        if self.decoder_pretrain_lr <= 0:
+            raise ValueError("decoder_pretrain_lr must be positive")
         self._at_least(0, "lambda_", "decoder_pretrain_steps")
         self._at_least(1, "decoder_width", "decoder_blocks", "decoder_ff_mult",
                        "max_positions", "max_report_len")
@@ -348,22 +354,38 @@ class _BatchSchedule:
         return [self.queue.popleft() for _ in range(self.batch_size)]
 
 
-@contextmanager
-def _collector_paused():
-    """Hold Python's cyclic garbage collector off for one optimizer step.
+def _train(opt, steps, lr_of, loss_of, stop=None, log_path=None):
+    """The one optimizer loop: up to `steps` steps of `opt`; returns the log.
 
-    A step's tape is thousands of objects that live until `backward`, and
-    the collector would scan them again and again, though they form no
-    cycles: `backward` releases the tape and reference counting frees it.
-    The caller's collector state is restored on exit.
+    Step `step` (from 1) builds `loss, parts = loss_of()`, runs `backward`
+    and `opt.step(lr_of(step))`, and logs {"step", "lr", "loss", **parts}.
+    The loop ends after a step for which `stop(step)` is true; the log goes
+    to `log_path` as JSON lines when one is given.
+
+    Each step holds Python's cyclic garbage collector off, then restores the
+    caller's state: its tape is thousands of objects that live until
+    `backward`, which the collector would scan again and again, though they
+    form no cycles (`backward` releases the tape, reference counting frees it).
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
+    log = []
+    for step in range(1, steps + 1):
+        lr = lr_of(step)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            loss, parts = loss_of()
+            opt.zero_grad()
+            backward(loss)
+            opt.step(lr)
+        finally:
+            if enabled:
+                gc.enable()
+        log.append({"step": step, "lr": lr, "loss": loss.item(), **parts})
+        if stop is not None and stop(step):
+            break
+    if log_path:
+        Path(log_path).write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in log))
+    return log
 
 
 def run_stage1(cfg, samples, log_path=None):
@@ -374,30 +396,27 @@ def run_stage1(cfg, samples, log_path=None):
     """
     rng = np.random.default_rng(cfg.seed)
     model = Stage1Model.init(rng, cfg)
-    opt = AdamW(model.named(), weight_decay=cfg.weight_decay)
     schedule = _BatchSchedule(len(samples), cfg.batch_size, rng)
     texts = np.stack([model.text_encoder.encode(s.report).data for s in samples])
-    log = []
-    for step in range(1, cfg.total_steps + 1):
+    outputs = None
+
+    def loss_of():
+        nonlocal outputs
         rows = schedule.next()
         batch = [samples[i] for i in rows]
-        lr = lr_at(step, cfg)
-        with _collector_paused():
-            _, pooled, _, logits = model.forward(batch)
-            total, parts = stage1_loss(pooled, Tensor(texts[rows]), logits,
-                                       [s.labels for s in batch], cfg.tau)
-            loss_value = total.item()
-            opt.zero_grad()
-            backward(total)
-            opt.step(lr)
-        log.append({"step": step, "lr": lr, "loss": loss_value, **parts})
-    if log_path:
-        _write_log(log_path, log)
+        # The previous step's outputs are freed only here, once this step's
+        # arrays lie above them. Freed at the end of their own step, they let
+        # malloc hand the top of the heap back to the system, and every step
+        # faulted it in again (batch 64 of 32x32 images on a 2-core VM: 4x
+        # the page faults, 25% slower steps).
+        outputs = model.forward(batch)
+        _, pooled, _, logits = outputs
+        return stage1_loss(pooled, Tensor(texts[rows]), logits,
+                           [s.labels for s in batch], cfg.tau)
+
+    log = _train(AdamW(model.named(), weight_decay=cfg.weight_decay), cfg.total_steps,
+                 lambda step: lr_at(step, cfg), loss_of, log_path=log_path)
     return model, log
-
-
-def _write_log(path, records):
-    Path(path).write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
 
 
 def macro_f1(pred_rows, true_rows):
@@ -521,27 +540,27 @@ def _prepare_caches(model, samples, index):
     return caches
 
 
-def _cache_loss(model, cache, retrieved):
-    v_proj = project(cache.v_const, model.fusion)
-    prompt = assemble_prompt(model.decoder, model.vocab, retrieved, v_proj, cache.target)
-    return lm_loss(model.decoder, prompt)
-
-
 def _batch_mean_loss(model, caches, draw=None):
-    terms = [_cache_loss(model, c, c.exemplar(draw))[1] for c in caches]
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return total * (1.0 / len(terms))
+    """Mean of the studies' per-token losses, added left to right."""
+    terms = []
+    for c in caches:
+        v_proj = project(c.v_const, model.fusion)
+        prompt = assemble_prompt(model.decoder, model.vocab, c.exemplar(draw), v_proj,
+                                 c.target)
+        terms.append(lm_loss(model.decoder, prompt)[1])
+    return sum(terms[1:], terms[0]) * (1.0 / len(terms))
 
 
 def mean_token_loss(model, caches):
-    """Grad-free mean per-token loss over a set of cached studies."""
-    was = {n: t.requires_grad for n, t in model.named().items()}
-    apply_freeze(model.named(), {n: False for n in was})
-    value = _batch_mean_loss(model, caches).item()
-    apply_freeze(model.named(), was)
-    return value
+    """Grad-free mean per-token loss over a set of cached studies; every
+    parameter's trainability is restored afterwards, also on an error."""
+    named = model.named()
+    was = {n: t.requires_grad for n, t in named.items()}
+    apply_freeze(named, dict.fromkeys(was, False))
+    try:
+        return _batch_mean_loss(model, caches).item()
+    finally:
+        apply_freeze(named, was)
 
 
 def run_stage2(cfg, samples, stage1_ckpt_arrays, index, log_path=None):
@@ -555,7 +574,8 @@ def run_stage2(cfg, samples, stage1_ckpt_arrays, index, log_path=None):
 
     With retrieval on, each pretraining step shows every study in its batch
     one of that study's top PHASE_A_EXEMPLARS exemplars, drawn uniformly
-    from a child stream of cfg.seed (the batch order does not move); phase B, its early-stop check and generation use the top-1.
+    from a child stream of cfg.seed (the batch order does not move); phase
+    B, its early-stop check and generation use the top-1.
     """
     if cfg.use_dmsr and index is None:
         raise ValueError("stage 2 with retrieval enabled requires an exemplar index")
@@ -565,44 +585,29 @@ def run_stage2(cfg, samples, stage1_ckpt_arrays, index, log_path=None):
     _check_index(model, index)
     caches = _prepare_caches(model, samples, index)
     named = model.named()
+    schedule = _BatchSchedule(len(caches), cfg.batch_size, rng)
+
+    def batch_loss(draw=None):
+        batch = [caches[i] for i in schedule.next()]
+        return _batch_mean_loss(model, batch, draw), {}
+
+    def stop(step):
+        return (cfg.early_stop_loss > 0 and step % 50 == 0
+                and mean_token_loss(model, caches) < cfg.early_stop_loss)
 
     # phase A: decoder (and initial projection) learn the prompt layout
-    pretrain_mask = {n: n.startswith("decoder/")
-                     or n in ("dvaf/w_proj", "dvaf/proj_gamma", "dvaf/proj_beta")
-                     for n in named}
-    apply_freeze(named, pretrain_mask)
-    opt = AdamW(named, weight_decay=cfg.weight_decay)
-    schedule = _BatchSchedule(len(caches), cfg.batch_size, rng)
+    projection = stage2_freeze_mask(named)
+    apply_freeze(named, {n: n.startswith("decoder/") or projection[n] for n in named})
     # exemplar draws: a child stream of cfg.seed, independent of rng's
     draw = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
-    for _ in range(cfg.decoder_pretrain_steps):
-        batch = [caches[i] for i in schedule.next()]
-        with _collector_paused():
-            loss = _batch_mean_loss(model, batch, draw)
-            opt.zero_grad()
-            backward(loss)
-            opt.step(cfg.decoder_pretrain_lr)
+    _train(AdamW(named, weight_decay=cfg.weight_decay), cfg.decoder_pretrain_steps,
+           lambda step: cfg.decoder_pretrain_lr, lambda: batch_loss(draw))
 
     # phase B: the freeze contract proper
-    apply_freeze(named, stage2_freeze_mask(named))
+    apply_freeze(named, projection)
     model.boundary_checksums = parameter_checksums(named)
-    opt = AdamW(named, weight_decay=cfg.weight_decay)
-    log = []
-    for step in range(1, cfg.total_steps + 1):
-        batch = [caches[i] for i in schedule.next()]
-        lr = lr_at(step, cfg)
-        with _collector_paused():
-            loss = _batch_mean_loss(model, batch)
-            loss_value = loss.item()
-            opt.zero_grad()
-            backward(loss)
-            opt.step(lr)
-        log.append({"step": step, "lr": lr, "loss": loss_value})
-        if cfg.early_stop_loss > 0 and step % 50 == 0:
-            if mean_token_loss(model, caches) < cfg.early_stop_loss:
-                break
-    if log_path:
-        _write_log(log_path, log)
+    log = _train(AdamW(named, weight_decay=cfg.weight_decay), cfg.total_steps,
+                 lambda step: lr_at(step, cfg), batch_loss, stop, log_path)
     return model, log
 
 

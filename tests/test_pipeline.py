@@ -2,7 +2,7 @@ import gc
 import hashlib
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -190,6 +190,9 @@ def test_config_validation():
                              "decoder_width", "decoder_blocks", "decoder_ff_mult",
                              "max_positions", "max_report_len")),
     ("max_report_len", "-1"), ("decoder_pretrain_steps", "-1"),
+    ("decoder_pretrain_lr", "-1e-3"), ("decoder_pretrain_lr", "0"), ("weight_decay", "-0.5"),
+    *((key, "nan") for key in ("base_lr", "lambda_", "tau", "early_stop_loss")),
+    ("base_lr", "inf"),
 ])
 def test_bad_config_value_fails_naming_its_key(tmp_path, key, value):
     path = tmp_path / "cfg.txt"
@@ -448,6 +451,18 @@ def test_stage2_trains_below_uniform_baseline(stage2_setup):
     final = mean_token_loss(model, caches)
     assert final < 2.0  # untrained decoder sits near ln(vocab) ~ 3.7
     assert [r["step"] for r in log] == list(range(1, len(log) + 1))
+
+
+def test_mean_token_loss_restores_trainability_when_it_raises(stage2_setup):
+    samples, _, index, model, _ = stage2_setup
+    cache = _prepare_caches(model, samples[:1], index)[0]
+    too_long = replace(cache, target=replace(
+        cache.target, ids=cache.target.ids * model.cfg.max_positions))
+    before = {n: t.requires_grad for n, t in model.named().items()}
+    assert any(before.values())
+    with pytest.raises(ValueError, match="exceeds maximum"):
+        mean_token_loss(model, [too_long])
+    assert {n: t.requires_grad for n, t in model.named().items()} == before
 
 
 def test_phase_a_pool_starts_with_the_top1_exemplar(stage2_setup):
