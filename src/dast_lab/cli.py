@@ -135,6 +135,8 @@ def cmd_evaluate(args):
     hyps = {}
     for line in Path(args.hyp).read_text().splitlines():
         row = json.loads(line)
+        if row["study_id"] in hyps:
+            raise ValueError(f"repeated study id '{row['study_id']}' in {args.hyp}")
         hyps[row["study_id"]] = row["hypothesis"]
     if not hyps:
         raise ValueError(f"no hypotheses found in {args.hyp}")

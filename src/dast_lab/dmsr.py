@@ -1,13 +1,17 @@
 """Exemplar retrieval over pooled visual vectors and disease logits.
 
 Each stored study is scored as cos(z_bar, z_bar_k) + lambda * cos(l, l_k), l
-the raw disease logits; ties break toward earlier insertion. A query scores
-all N rows at once as Zu @ z_hat + lambda * (Lu @ l_hat), Zu and Lu the stored
-rows divided by their norms (exact inner-product search, as in FAISS
-IndexFlatIP), then rescores every row within a small margin of the k-th best
-of those scores with the scalar cosine and ranks only those. A deliberately
-boring brute-force scorer ships alongside the query path so the two can be
-checked against each other exactly, scores and tie-breaks included.
+the raw disease logits; ties break toward earlier insertion. add_exemplar
+keeps the two norms it computes for its zero-norm check beside the records,
+so no query computes the norm of a stored row. A query scores all N rows at
+once with one product of the N x (C + 14) matrix [Zu | Lu], the stored rows
+divided by their kept norms, and [z_hat ; lambda * l_hat] (exact
+inner-product search, as in FAISS IndexFlatIP), then rescores every row
+within a small margin of the k-th best of those scores with _score's
+operations in _score's order, so each returned score has _score's bits, and
+ranks only those. A deliberately boring brute-force scorer ships alongside
+the query path so the two can be checked against each other exactly, scores
+and tie-breaks included.
 
 On disk an index is one `store` container (magic b"DMSR3\\0", bit-exact
 round-trip). The JSON header holds the vector width C, the study ids and
@@ -58,7 +62,8 @@ class ExemplarIndex:
     stage1_sha256: str = ""
     records: list = field(default_factory=list)
     _ids: dict = field(default_factory=dict)  # study_id -> position in records
-    _unit: tuple = field(default=None, repr=False)  # (row count, Zu, Lu), see _unit_rows
+    _norms: list = field(default_factory=list, repr=False)  # (|z_bar|, |logits|) per record
+    _unit: tuple = field(default=None, repr=False)  # (row count, [Zu | Lu]), see _unit_rows
 
     def __len__(self):
         return len(self.records)
@@ -86,10 +91,12 @@ def add_exemplar(index, record):
         raise ValueError(f"vector width {record.z_bar.shape} does not match index width {index.width}")
     if record.study_id in index._ids:
         raise ValueError(f"duplicate study_id '{record.study_id}'")
-    if not all(0.0 < np.linalg.norm(v) < np.inf for v in (record.z_bar, record.logits)):
+    norms = np.linalg.norm(record.z_bar), np.linalg.norm(record.logits)
+    if not all(0.0 < v < np.inf for v in norms):
         raise ValueError(f"zero-norm or non-finite vector for study '{record.study_id}'")
     index._ids[record.study_id] = len(index.records)
     index.records.append(record)
+    index._norms.append(norms)
 
 
 def _score(record, z_bar, logits, lam):
@@ -97,14 +104,15 @@ def _score(record, z_bar, logits, lam):
 
 
 def _unit_rows(index):
-    """Stored z_bar and logit rows divided by their norms, rebuilt when the row count moves."""
+    """[Zu | Lu]: stored z_bar and logit rows divided by their kept norms,
+    rebuilt when the row count moves."""
     n = len(index.records)
     if index._unit is None or index._unit[0] != n:
         z = np.reshape([r.z_bar for r in index.records], (n, index.width))
         lg = np.reshape([r.logits for r in index.records], (n, NUM_CATEGORIES))
-        index._unit = (n, z / np.linalg.norm(z, axis=1, keepdims=True),
-                       lg / np.linalg.norm(lg, axis=1, keepdims=True))
-    return index._unit[1:]
+        norms = np.reshape(index._norms, (n, 2))
+        index._unit = (n, np.concatenate((z / norms[:, :1], lg / norms[:, 1:]), axis=1))
+    return index._unit[1]
 
 
 def query(index, z_bar, logits, lam=None, k=1, exclude_id=None):
@@ -126,8 +134,7 @@ def query(index, z_bar, logits, lam=None, k=1, exclude_id=None):
     z_norm, l_norm = np.linalg.norm(z_bar), np.linalg.norm(logits)
     if z_norm == 0.0 or l_norm == 0.0:
         raise ValueError("zero-norm query vector")
-    zu, lu = _unit_rows(index)
-    approx = zu @ (z_bar / z_norm) + lam * (lu @ (logits / l_norm))
+    approx = _unit_rows(index) @ np.concatenate((z_bar / z_norm, lam * (logits / l_norm)))
     excluded = index._ids.get(exclude_id)
     if excluded is not None:
         approx[excluded] = -np.inf
@@ -138,7 +145,11 @@ def query(index, z_bar, logits, lam=None, k=1, exclude_id=None):
     # Each approx score is within delta << 1e-9 of its exact _score, so every member of
     # the exact top k, ties included, lies within 2 * delta of kth and gets rescored.
     near = np.flatnonzero(approx >= kth - 1e-9 * (1.0 + lam))
-    scored = [(i, _score(index.records[i], z_bar, logits, lam)) for i in near]
+    scored = []
+    for i in near:  # _score's operations in _score's order, with the kept norms
+        r, (rz, rl) = index.records[i], index._norms[i]
+        scored.append((i, float(np.dot(z_bar, r.z_bar) / (z_norm * rz))
+                       + lam * float(np.dot(logits, r.logits) / (l_norm * rl))))
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return [(index.records[i].study_id, s) for i, s in scored[:k]]
 

@@ -47,7 +47,7 @@ from .generator import (
 )
 from .metrics import _prf
 from .stage1 import DastBank, HashTextEncoder, classify, refine_dasts, stage1_loss
-from .tensor import NonFiniteError, Tensor, backward
+from .tensor import NonFiniteError, Tensor, backward, no_grad
 
 CKPT_MAGIC = b"DLCKPT5"
 # Decoder pretraining (phase A) draws each study's exemplar from its top
@@ -552,15 +552,9 @@ def _batch_mean_loss(model, caches, draw=None):
 
 
 def mean_token_loss(model, caches):
-    """Grad-free mean per-token loss over a set of cached studies; every
-    parameter's trainability is restored afterwards, also on an error."""
-    named = model.named()
-    was = {n: t.requires_grad for n, t in named.items()}
-    apply_freeze(named, dict.fromkeys(was, False))
-    try:
+    """Grad-free mean per-token loss over a set of cached studies."""
+    with no_grad():
         return _batch_mean_loss(model, caches).item()
-    finally:
-        apply_freeze(named, was)
 
 
 def run_stage2(cfg, samples, stage1_ckpt_arrays, index, log_path=None):

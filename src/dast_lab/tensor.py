@@ -30,6 +30,7 @@ update that would make a parameter non-finite.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 
@@ -226,18 +227,35 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+_recording = True  # False inside no_grad()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Ops inside the block record nothing: each output is an unrecorded
+    tensor, as if no input required grad. Recording resumes on exit, also
+    when the block raises."""
+    global _recording
+    was, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = was
+
+
 def _node(data, op, *edges):
     """Wrap an op's output; edges are its (input, vjp) pairs in input order.
 
-    Nothing is recorded unless some input requires grad. Otherwise the edges
-    become the output's _prev, and backward adds vjp(out.grad) to the .grad
-    of each input that requires grad at that time. The edges are kept as
-    given rather than wrapped in a closure per node: on a stage-1 step that
-    closure doubled the garbage collector's passes.
+    Nothing is recorded inside no_grad() or unless some input requires grad.
+    Otherwise the edges become the output's _prev, and backward adds
+    vjp(out.grad) to the .grad of each input that requires grad at that time.
+    The edges are kept as given rather than wrapped in a closure per node: on
+    a stage-1 step that closure doubled the garbage collector's passes.
     """
-    for t, _ in edges:
-        if t.requires_grad:
-            return Tensor(data, True, op, edges)
+    if _recording:
+        for t, _ in edges:
+            if t.requires_grad:
+                return Tensor(data, True, op, edges)
     return Tensor(data, False, op)
 
 

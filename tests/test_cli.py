@@ -111,6 +111,20 @@ def test_evaluate_reads_the_manifests_alone(workspace, tmp_path):
     assert json.loads((tmp_path / "metrics.json").read_text())["bleu_4"] == 1.0
 
 
+def test_evaluate_refuses_a_repeated_study_id(workspace, tmp_path, capsys):
+    _, data = workspace
+    rows = [json.loads(x) for x in (data / "test.jsonl").read_text().splitlines()]
+    lines = [json.dumps({"study_id": r["study_id"], "hypothesis": r["report"]}) for r in rows]
+    lines.append(json.dumps({"study_id": rows[1]["study_id"], "hypothesis": "other"}))
+    hyp = tmp_path / "hyp.jsonl"
+    hyp.write_text("\n".join(lines) + "\n")
+    assert main(["evaluate", "--hyp", str(hyp), "--ref", str(data),
+                 "--out", str(tmp_path / "metrics.json")]) == 1
+    err = capsys.readouterr().err
+    assert f"repeated study id '{rows[1]['study_id']}'" in err and str(hyp) in err
+    assert not (tmp_path / "metrics.json").exists()
+
+
 def test_query_index_matches_oracle(workspace, capsys):
     root, _ = workspace
     index = load_index(root / "train.dmsr")

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dast_lab import dmsr
 from dast_lab.dmsr import (
     ExemplarIndex,
     ExemplarRecord,
@@ -228,6 +229,33 @@ def test_loaded_index_answers_like_the_saved_one(tmp_path):
             assert query(back, q.z_bar, q.logits, lam=0.3, k=6, exclude_id=exclude_id) == want
             assert want == brute_force_oracle(idx, q.z_bar, q.logits, lam=0.3, k=6,
                                               exclude_id=exclude_id)
+
+
+def test_queries_never_take_the_norm_of_a_stored_row(monkeypatch):
+    """add_exemplar computes each stored row's norms once; queries reuse them."""
+    idx = filled_index(40, seed=900)
+    seen = []
+    norm = dmsr.np.linalg.norm
+
+    def spy(x, *args, **kwargs):
+        seen.append(np.array(x, copy=True))
+        return norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(dmsr.np.linalg, "norm", spy)
+    for extra in range(3):  # each insert moves the row count, so the unit rows are rebuilt
+        if extra:
+            add_exemplar(idx, record(4000 + extra, f"extra{extra}"))
+        stored = [v for r in idx.records for v in (r.z_bar, r.logits)]
+        for q in [record(3000 + 10 * extra + i, "q") for i in range(4)]:
+            for lam, k in ((0.5, 5), (0.0, len(idx)), (2.0, 1)):
+                want = brute_force_oracle(idx, q.z_bar, q.logits, lam=lam, k=k)
+                seen.clear()
+                assert query(idx, q.z_bar, q.logits, lam=lam, k=k) == want
+                assert len(seen) == 2  # the query's own z_bar and logits
+                for x in seen:
+                    assert x.ndim == 1
+                    assert not any(x.shape == v.shape and np.array_equal(x, v)
+                                   for v in stored)
 
 
 def test_non_finite_query_is_named():

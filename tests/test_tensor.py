@@ -18,6 +18,7 @@ from dast_lab.tensor import (
     layer_norm,
     logsumexp,
     matmul,
+    no_grad,
     scaled_dot_attention,
     softmax,
 )
@@ -212,6 +213,26 @@ def test_gradients_accumulate_across_graphs():
     backward((x * 2.0).sum())
     backward((x * 3.0).sum())
     assert np.allclose(x.grad, [5.0])
+
+
+def test_no_grad_records_nothing_and_resumes_after_a_raise():
+    x = Tensor([1.0, -2.0], requires_grad=True)
+    with no_grad():
+        y = (x * x).sum()
+        assert not y.requires_grad and y._prev == ()
+        assert matmul(Tensor(np.ones((1, 2))), x.reshape(2, 1))._prev == ()
+    assert (x * x).requires_grad
+    with pytest.raises(NonFiniteError, match="log"):
+        with no_grad():
+            (x - 5.0).log()
+    y = (x * x).sum()
+    assert y.requires_grad and y._prev
+    backward(y)
+    assert np.array_equal(x.grad, [2.0, -4.0])
+    with no_grad():
+        with no_grad():
+            pass
+        assert not (x * x).requires_grad  # an inner block leaves the outer one off
 
 
 def test_non_finite_intermediate_aborts_with_op_name():
