@@ -8,6 +8,15 @@ projection matrix and its layer-norm affine and optimizes the language
 modeling loss, optionally with retrieved exemplar prompts. One loop,
 `_train`, runs every optimizer step of stage 1 and of both stage-2 phases.
 
+A stage-2 phase may split each step's batch over two processes
+(`_train_stage2`): a worker forked for the phase builds and backpropagates
+the first half of the studies, and its gradients are the serial step's
+partial sums after that half, because `backward` runs the studies' separate
+graphs in study order. This process builds the second half, holds each
+contribution to a parameter (`backward`'s sink) and adds them onto the
+worker's gradients in order, so every bit is the serial step's. Nothing
+outlives the phase, and decoding runs in this process only.
+
 Each model holds the resolved config of its stage as `cfg`: `Stage1Config`
 (encoder, DASTs, tau) or `Stage2Config` (DVAF, DMSR, lambda, decoder), which
 share the optimizer, schedule and seed fields. A checkpoint is one `store`
@@ -21,12 +30,19 @@ finiteness checks.
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import hashlib
 import json
 import math
+import mmap
+import multiprocessing
+import os
+import threading
+import traceback
 from collections import deque
 from dataclasses import asdict, dataclass, field
+from multiprocessing.connection import wait
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +58,7 @@ from .generator import (
     assemble_prompt,
     generate,
     lm_loss,
+    split_words,
     stage2_freeze_mask,
     tokenize,
 )
@@ -354,33 +371,39 @@ class _BatchSchedule:
         return [self.queue.popleft() for _ in range(self.batch_size)]
 
 
-def _train(opt, steps, lr_of, loss_of, stop=None, log_path=None):
+@contextlib.contextmanager
+def _collector_paused():
+    """Hold Python's cyclic garbage collector off, then restore the caller's
+    state: a step's tape is thousands of objects that live until `backward`,
+    which the collector would scan again and again, though they form no
+    cycles (`backward` releases the tape, reference counting frees it)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _train(opt, steps, lr_of, grads_of, stop=None, log_path=None):
     """The one optimizer loop: up to `steps` steps of `opt`; returns the log.
 
-    Step `step` (from 1) builds `loss, parts = loss_of()`, runs `backward`
-    and `opt.step(lr_of(step))`, and logs {"step", "lr", "loss", **parts}.
-    The loop ends after a step for which `stop(step)` is true; the log goes
-    to `log_path` as JSON lines when one is given.
-
-    Each step holds Python's cyclic garbage collector off, then restores the
-    caller's state: its tape is thousands of objects that live until
-    `backward`, which the collector would scan again and again, though they
-    form no cycles (`backward` releases the tape, reference counting frees it).
+    Step `step` (from 1) calls `loss, parts = grads_of()`, which sets the
+    .grad of `opt`'s parameters and returns the loss value, then runs
+    `opt.step(lr_of(step))` and logs {"step", "lr", "loss", **parts}, all
+    with the collector held off. Stage 1 fills .grad with one `backward`;
+    a stage-2 step may fill it from two processes, with the same bits (see
+    _train_stage2). The loop ends after a step for which `stop(step)` is
+    true; the log goes to `log_path` as JSON lines when one is given.
     """
     log = []
     for step in range(1, steps + 1):
         lr = lr_of(step)
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            loss, parts = loss_of()
-            opt.zero_grad()
-            backward(loss)
+        with _collector_paused():
+            loss, parts = grads_of()
             opt.step(lr)
-        finally:
-            if enabled:
-                gc.enable()
-        log.append({"step": step, "lr": lr, "loss": loss.item(), **parts})
+        log.append({"step": step, "lr": lr, "loss": loss, **parts})
         if stop is not None and stop(step):
             break
     if log_path:
@@ -398,9 +421,10 @@ def run_stage1(cfg, samples, log_path=None):
     model = Stage1Model.init(rng, cfg)
     schedule = _BatchSchedule(len(samples), cfg.batch_size, rng)
     texts = np.stack([model.text_encoder.encode(s.report).data for s in samples])
+    opt = AdamW(model.named(), weight_decay=cfg.weight_decay)
     outputs = None
 
-    def loss_of():
+    def grads_of():
         nonlocal outputs
         rows = schedule.next()
         batch = [samples[i] for i in rows]
@@ -411,11 +435,14 @@ def run_stage1(cfg, samples, log_path=None):
         # the page faults, 25% slower steps).
         outputs = model.forward(batch)
         _, pooled, _, logits = outputs
-        return stage1_loss(pooled, Tensor(texts[rows]), logits,
-                           [s.labels for s in batch], cfg.tau)
+        loss, parts = stage1_loss(pooled, Tensor(texts[rows]), logits,
+                                  [s.labels for s in batch], cfg.tau)
+        opt.zero_grad()
+        backward(loss)
+        return loss.item(), parts
 
-    log = _train(AdamW(model.named(), weight_decay=cfg.weight_decay), cfg.total_steps,
-                 lambda step: lr_at(step, cfg), loss_of, log_path=log_path)
+    log = _train(opt, cfg.total_steps, lambda step: lr_at(step, cfg), grads_of,
+                 log_path=log_path)
     return model, log
 
 
@@ -525,36 +552,216 @@ class _StudyCache:
 
 
 def _prepare_caches(model, samples, index):
-    """One index query per study, for its top PHASE_A_EXEMPLARS exemplars."""
-    reports = {r.study_id: r.report for r in index.records} if model.cfg.use_dmsr else {}
+    """One index query per study, for its top PHASE_A_EXEMPLARS exemplars.
+
+    Every prompt a study can be shown is checked against max_positions here,
+    before any step: a prompt is the exemplar's words, SEP, the visual rows,
+    BOS and the target's interior (see assemble_prompt).
+    """
+    cfg = model.cfg
+    reports = {r.study_id: r.report for r in index.records} if cfg.use_dmsr else {}
     caches = []
     for s in samples:
         v_const, z_bar, logits = model.visual_sequence(s)
         pool = []
-        if model.cfg.use_dmsr:
-            hits = dmsr.query(index, z_bar, logits, lam=model.cfg.lambda_,
+        if cfg.use_dmsr:
+            hits = dmsr.query(index, z_bar, logits, lam=cfg.lambda_,
                               k=PHASE_A_EXEMPLARS, exclude_id=s.study_id)
             pool = [(study_id, reports[study_id]) for study_id, _ in hits]
-        caches.append(_StudyCache(s.study_id, v_const, tokenize(s.report, model.vocab),
-                                  pool))
+        target = tokenize(s.report, model.vocab)
+        for exemplar_id, text in pool or [(None, "")]:
+            length = (len(split_words(text)) + 1 + v_const.data.shape[0]
+                      + 1 + len(target.interior))
+            if length > cfg.max_positions:
+                shown = f"exemplar {exemplar_id}" if exemplar_id else "no exemplar"
+                raise ValueError(f"study {s.study_id}: its prompt with {shown} has length "
+                                 f"{length}, above max_positions {cfg.max_positions}")
+        caches.append(_StudyCache(s.study_id, v_const, target, pool))
     return caches
 
 
-def _batch_mean_loss(model, caches, draw=None):
-    """Mean of the studies' per-token losses, added left to right."""
+def _study_terms(model, caches, texts):
+    """Each study's mean per-token loss, shown exemplar text `texts[i]`."""
     terms = []
-    for c in caches:
+    for c, text in zip(caches, texts):
         v_proj = project(c.v_const, model.fusion)
-        prompt = assemble_prompt(model.decoder, model.vocab, c.exemplar(draw), v_proj,
-                                 c.target)
+        prompt = assemble_prompt(model.decoder, model.vocab, text, v_proj, c.target)
         terms.append(lm_loss(model.decoder, prompt)[1])
-    return sum(terms[1:], terms[0]) * (1.0 / len(terms))
+    return terms
+
+
+def _batch_mean(terms, n):
+    """The batch loss from its studies' terms: added left to right, times 1/n.
+    Tensors give the graph, floats its value with the same bits."""
+    return sum(terms[1:], terms[0]) * (1.0 / n)
 
 
 def mean_token_loss(model, caches):
     """Grad-free mean per-token loss over a set of cached studies."""
     with no_grad():
-        return _batch_mean_loss(model, caches).item()
+        terms = _study_terms(model, caches, [c.exemplar() for c in caches])
+        return _batch_mean(terms, len(terms)).item()
+
+
+# -- stage-2 steps on two processes -------------------------------------------------
+
+
+class WorkerError(RuntimeError):
+    """The stage-2 step worker died before it answered. Also the cause, with
+    the worker's traceback, of an exception the worker raised."""
+
+
+def _stage2_processes():
+    """How many processes share a stage-2 step: 2 when this process may run
+    on two CPUs, may have children and runs no other thread (a fork copies
+    neither the thread nor a lock it holds), else 1. The count reaches no
+    bit."""
+    if (not hasattr(os, "sched_getaffinity") or multiprocessing.current_process().daemon
+            or "fork" not in multiprocessing.get_all_start_methods()
+            or threading.active_count() > 1):
+        return 1
+    return min(2, len(os.sched_getaffinity(0)))
+
+
+def _worker_loop(conn, parent_end, model, caches, params, values, grads, n):
+    """The worker's side: for each (rows, texts) message, take the trainable
+    values from `values`, build the rows' studies, run a plain backward of
+    their terms' sum times 1/n, put each .grad in `grads` and answer (names
+    of the parameters with a gradient, term values), or the exception it
+    raised and its traceback. Ends when the parent closes its end."""
+    parent_end.close()  # the fork's copy; with it open, recv would never end
+    try:
+        while True:
+            rows, texts = conn.recv()
+            try:
+                with _collector_paused():
+                    for name, p in params.items():
+                        p.data = values[name].copy()
+                        p.zero_grad()
+                    terms = _study_terms(model, [caches[i] for i in rows], texts)
+                    backward(_batch_mean(terms, n))
+                    filled = [name for name, p in params.items() if p.grad is not None]
+                    for name in filled:
+                        grads[name][...] = params[name].grad
+                reply = filled, [t.item() for t in terms]
+            except Exception as exc:  # re-raised in the parent
+                reply = exc, traceback.format_exc()
+            conn.send(reply)
+    except (EOFError, OSError):
+        pass  # the parent closed its end
+
+
+class _StepWorker:
+    """One forked process that computes the first half of each stage-2 batch.
+
+    It inherits the model, the caches and the trainable parameters (their
+    values and requires_grad flags) at the fork. Each step's values of
+    `params` and the worker's gradients cross in `values` and `grads`, two
+    arrays shaped like each parameter in one anonymous shared mapping (about
+    1.1 MB each way in phase A), not through the pipe; the pipe carries the
+    rows, the exemplar texts and the reply. The worker lives for one
+    optimizer: phase B's decoder values are those at its fork.
+    """
+
+    def __init__(self, model, caches, params, n):
+        size = sum(p.data.size for p in params.values())
+        flat = np.frombuffer(mmap.mmap(-1, 2 * 8 * size), dtype=np.float64)
+        self.values, self.grads, offset = {}, {}, 0
+        for table in (self.values, self.grads):
+            for name, p in params.items():
+                table[name] = flat[offset:offset + p.data.size].reshape(p.data.shape)
+                offset += p.data.size
+        # fork, so that the worker starts with the model and caches as they
+        # are, unpickled; training runs no threads that a fork would lose
+        ctx = multiprocessing.get_context("fork")
+        self.conn, child = ctx.Pipe()
+        self.proc = ctx.Process(target=_worker_loop, name="stage2-step-worker", daemon=True,
+                                args=(child, self.conn, model, caches, params, self.values,
+                                      self.grads, n))
+        self.proc.start()
+        child.close()  # so that the worker's death reads as EOF here
+
+    def _died(self):
+        self.proc.join(5)
+        return WorkerError(f"{self.proc.name} (pid {self.proc.pid}) died with exit code "
+                           f"{self.proc.exitcode} before it answered")
+
+    def send(self, message):
+        try:
+            self.conn.send(message)
+        except OSError:
+            raise self._died() from None
+
+    def receive(self):
+        """The worker's reply; its exception is raised here."""
+        if self.conn not in wait([self.conn, self.proc.sentinel]):
+            raise self._died()
+        try:
+            reply = self.conn.recv()
+        except (EOFError, OSError):
+            raise self._died() from None
+        if isinstance(reply[0], BaseException):
+            exc, trace = reply
+            raise exc from WorkerError(f"in {self.proc.name} (pid {self.proc.pid}):\n{trace}")
+        return reply
+
+    def close(self):
+        self.conn.close()  # the worker's recv ends
+        self.proc.join(5)
+        if self.proc.is_alive():
+            self.proc.kill()
+            self.proc.join()
+
+
+def _train_stage2(model, caches, schedule, steps, lr_of, draw=None, stop=None,
+                  log_path=None):
+    """One stage-2 phase: `_train` over the parameters that require grad now.
+
+    A step draws its batch of n studies and their exemplars (`draw`, in
+    study order) here. With two processes (see _stage2_processes) and n > 1,
+    a worker forked for this phase builds studies 0..h-1 (h = n // 2) and
+    backpropagates their terms' sum times 1/n, while this process builds
+    studies h..n-1 and runs `backward` with a sink that holds each
+    contribution to a parameter. The worker's .grad arrays are the serial
+    step's partial sums after study h-1 (`backward` runs the studies'
+    subgraphs in study order): they become .grad here, and the held
+    contributions are added onto them in order, which gives the serial
+    step's bits. Otherwise (h = 0) this process runs the whole batch with a
+    plain `backward`. The logged loss is the serial chain over all n
+    terms' values.
+    """
+    opt = AdamW(model.named(), weight_decay=model.cfg.weight_decay)
+    n = model.cfg.batch_size
+    h = n // 2 if _stage2_processes() > 1 else 0
+    worker = _StepWorker(model, caches, opt.params, n) if h else None
+
+    def grads_of():
+        rows = schedule.next()
+        texts = [caches[i].exemplar(draw) for i in rows]
+        if worker:
+            for name, p in opt.params.items():
+                worker.values[name][...] = p.data
+            worker.send((rows[:h], texts[:h]))
+        terms = _study_terms(model, [caches[i] for i in rows[h:]], texts[h:])
+        loss = _batch_mean(terms, n)
+        opt.zero_grad()
+        if not worker:
+            backward(loss)
+            return loss.item(), {}
+        held = []
+        backward(loss, held)
+        filled, values = worker.receive()
+        for name in filled:
+            opt.params[name].grad = worker.grads[name].copy()
+        for p, g in held:
+            p._accum(g)
+        return _batch_mean(values + [t.item() for t in terms], n), {}
+
+    try:
+        return _train(opt, steps, lr_of, grads_of, stop, log_path)
+    finally:
+        if worker:
+            worker.close()
 
 
 def run_stage2(cfg, samples, stage1_ckpt_arrays, index, log_path=None):
@@ -569,7 +776,9 @@ def run_stage2(cfg, samples, stage1_ckpt_arrays, index, log_path=None):
     With retrieval on, each pretraining step shows every study in its batch
     one of that study's top PHASE_A_EXEMPLARS exemplars, drawn uniformly
     from a child stream of cfg.seed (the batch order does not move); phase
-    B, its early-stop check and generation use the top-1.
+    B, its early-stop check and generation use the top-1. Each phase may
+    split its steps over two processes (see _train_stage2), with the bits
+    of one.
     """
     if cfg.use_dmsr and index is None:
         raise ValueError("stage 2 with retrieval enabled requires an exemplar index")
@@ -581,10 +790,6 @@ def run_stage2(cfg, samples, stage1_ckpt_arrays, index, log_path=None):
     named = model.named()
     schedule = _BatchSchedule(len(caches), cfg.batch_size, rng)
 
-    def batch_loss(draw=None):
-        batch = [caches[i] for i in schedule.next()]
-        return _batch_mean_loss(model, batch, draw), {}
-
     def stop(step):
         return (cfg.early_stop_loss > 0 and step % 50 == 0
                 and mean_token_loss(model, caches) < cfg.early_stop_loss)
@@ -594,14 +799,14 @@ def run_stage2(cfg, samples, stage1_ckpt_arrays, index, log_path=None):
     apply_freeze(named, {n: n.startswith("decoder/") or projection[n] for n in named})
     # exemplar draws: a child stream of cfg.seed, independent of rng's
     draw = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
-    _train(AdamW(named, weight_decay=cfg.weight_decay), cfg.decoder_pretrain_steps,
-           lambda step: cfg.decoder_pretrain_lr, lambda: batch_loss(draw))
+    _train_stage2(model, caches, schedule, cfg.decoder_pretrain_steps,
+                  lambda step: cfg.decoder_pretrain_lr, draw)
 
     # phase B: the freeze contract proper
     apply_freeze(named, projection)
     model.boundary_checksums = parameter_checksums(named)
-    log = _train(AdamW(named, weight_decay=cfg.weight_decay), cfg.total_steps,
-                 lambda step: lr_at(step, cfg), batch_loss, stop, log_path)
+    log = _train_stage2(model, caches, schedule, cfg.total_steps,
+                        lambda step: lr_at(step, cfg), stop=stop, log_path=log_path)
     return model, log
 
 

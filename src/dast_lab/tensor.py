@@ -462,12 +462,18 @@ def _topological_order(root):
     return topo
 
 
-def backward(loss):
+def backward(loss, sink=None):
     """Fill .grad of every requires_grad tensor reachable from a scalar loss.
 
     The graph is released as it runs: each node drops its edges once its
     VJPs have run, so an intermediate gradient nobody holds is freed at once
     rather than at the end. A second call on the same loss raises.
+
+    With `sink`, a list, each contribution to a leaf (a tensor that records
+    no inputs) is appended to it as a (leaf, gradient) pair instead, in the
+    order a plain call adds it, and no leaf's .grad changes. Calling
+    `leaf._accum(gradient)` over the pairs in order then gives the bits of a
+    plain call.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -480,7 +486,10 @@ def backward(loss):
         t = topo.pop()
         for p, vjp in t._prev:
             if p.requires_grad:
-                p._accum(vjp(t.grad))
+                if sink is None or p._prev:
+                    p._accum(vjp(t.grad))
+                else:
+                    sink.append((p, vjp(t.grad)))
         t._released = True
         t._prev = ()
 

@@ -2,13 +2,19 @@ import gc
 import hashlib
 import json
 import math
+import multiprocessing
+import os
+import signal
+import threading
+import time
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from conftest import make_samples
-from dast_lab import dmsr, store
+from dast_lab import dmsr, pipeline, store
 from dast_lab.pipeline import (
     PHASE_A_EXEMPLARS,
     AdamW,
@@ -16,6 +22,7 @@ from dast_lab.pipeline import (
     Stage1Config,
     Stage1Model,
     Stage2Config,
+    WorkerError,
     build_index,
     generate_reports,
     load_checkpoint,
@@ -36,6 +43,7 @@ from dast_lab.pipeline import (
     _prepare_caches,
 )
 from dast_lab.encoder import patch_grid
+from dast_lab.generator import assemble_prompt
 from dast_lab.stage1 import loss_cls, loss_ctl, stage1_loss
 from dast_lab.tensor import (
     NonFiniteError,
@@ -564,8 +572,11 @@ GOLDEN_STAGE2 = {
 }
 
 
+@pytest.mark.parametrize("processes", [1, 2])
 @pytest.mark.parametrize("early_stop_loss", sorted(GOLDEN_STAGE2))
-def test_stage2_training_writes_its_golden_bits(early_stop_loss):
+def test_stage2_training_writes_its_golden_bits(early_stop_loss, processes, monkeypatch):
+    # two processes split each batch of 2 one study each; the bits stay the same
+    monkeypatch.setattr(pipeline, "_stage2_processes", lambda: processes)
     samples = make_samples(6, seed=29, image_size=16)
     cfg1 = Stage1Config(base_lr=3e-3, warmup_steps=2, total_steps=6, batch_size=4,
                         channels=8, depth=1, seed=31, tau=1.0)
@@ -592,3 +603,130 @@ def test_stage2_deterministic(stage2_setup):
     _, log_a = run_stage2(cfg, samples, arrays, index)
     _, log_b = run_stage2(cfg, samples, arrays, index)
     assert [r["loss"] for r in log_a] == [r["loss"] for r in log_b]
+
+
+# -- the stage-2 step worker ----------------------------------------------------------
+
+
+SHORT_STAGE2 = {**STAGE2_CFG, "decoder_pretrain_steps": 3, "total_steps": 3,
+                "warmup_steps": 1}
+
+
+@contextmanager
+def _within(seconds):
+    """Fail with TimeoutError rather than hang past `seconds`."""
+    def on_alarm(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _in_worker_only(monkeypatch, action):
+    """Patch lm_loss so that it runs `action()` first in any process but this one."""
+    parent, real = os.getpid(), pipeline.lm_loss
+
+    def lm_loss(*args):
+        if os.getpid() != parent:
+            action()
+        return real(*args)
+    monkeypatch.setattr(pipeline, "lm_loss", lm_loss)
+
+
+def test_stage2_two_processes_give_the_bits_of_one(stage2_setup, monkeypatch):
+    # batch 5: the worker builds studies 0-1 and this process 2-4, so both
+    # halves add several studies' contributions to each parameter
+    samples, arrays, index, _, _ = stage2_setup
+    cfg = Stage2Config(**{**SHORT_STAGE2, "batch_size": 5})
+    runs = []
+    for processes in (1, 2):
+        monkeypatch.setattr(pipeline, "_stage2_processes", lambda p=processes: p)
+        model, log = run_stage2(cfg, samples, arrays, index)
+        runs.append((store.sha256({n: t.data for n, t in model.named().items()}),
+                     model.boundary_checksums, log))
+    assert runs[0] == runs[1]
+
+
+def test_stage2_worker_exception_reaches_the_caller(stage2_setup, monkeypatch):
+    samples, arrays, index, _, _ = stage2_setup
+    monkeypatch.setattr(pipeline, "_stage2_processes", lambda: 2)
+
+    def fail():
+        raise ZeroDivisionError("raised in the worker's half")
+    _in_worker_only(monkeypatch, fail)
+    with _within(60), pytest.raises(ZeroDivisionError, match="^raised in the worker's half$") \
+            as raised:
+        run_stage2(Stage2Config(**SHORT_STAGE2), samples, arrays, index)
+    assert isinstance(raised.value.__cause__, WorkerError)
+    assert "in fail" in str(raised.value.__cause__)  # the worker's traceback
+    assert multiprocessing.active_children() == []
+
+
+def test_stage2_killed_worker_is_named_without_a_hang(stage2_setup, monkeypatch):
+    samples, arrays, index, _, _ = stage2_setup
+    monkeypatch.setattr(pipeline, "_stage2_processes", lambda: 2)
+    _in_worker_only(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    start = time.monotonic()
+    with _within(60), pytest.raises(WorkerError, match="stage2-step-worker .*died"):
+        run_stage2(Stage2Config(**SHORT_STAGE2), samples, arrays, index)
+    assert time.monotonic() - start < 30
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("processes", [1, 2])
+def test_stage2_leaves_no_process_behind(stage2_setup, monkeypatch, processes):
+    samples, arrays, index, _, _ = stage2_setup
+    monkeypatch.setattr(pipeline, "_stage2_processes", lambda: processes)
+    forked = []
+    real = pipeline._StepWorker.__init__
+
+    def init(self, *args):
+        real(self, *args)
+        forked.append(self.proc.pid)
+    monkeypatch.setattr(pipeline._StepWorker, "__init__", init)
+    _, log = run_stage2(Stage2Config(**SHORT_STAGE2), samples, arrays, index)
+    assert len(log) == SHORT_STAGE2["total_steps"]
+    assert len(forked) == (2 if processes == 2 else 0)  # one per phase
+    assert multiprocessing.active_children() == []
+
+
+def test_stage2_forks_no_worker_beside_another_thread():
+    # a fork copies no other thread, nor a lock that thread holds
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert pipeline._stage2_processes() == 1
+    finally:
+        release.set()
+        thread.join(10)
+    assert not thread.is_alive()
+
+
+def test_stage2_refuses_an_over_long_prompt_before_any_step(stage2_setup, monkeypatch):
+    samples, arrays, index, model, _ = stage2_setup
+    lengths = {}
+    for c in _prepare_caches(model, samples, index):
+        v_proj = pipeline.project(c.v_const, model.fusion)
+        for exemplar_id, text in c.pool:
+            prompt = assemble_prompt(model.decoder, model.vocab, text, v_proj, c.target)
+            lengths[c.study_id, exemplar_id] = prompt.embeddings.data.shape[0]
+    longest = max(lengths.values())
+    steps = []
+    monkeypatch.setattr(AdamW, "step", lambda self, lr: steps.append(lr))
+    cfg = Stage2Config(**{**SHORT_STAGE2, "max_positions": longest - 1})
+    with pytest.raises(ValueError) as raised:
+        run_stage2(cfg, samples, arrays, index)
+    assert steps == []
+    message = str(raised.value)
+    assert f"length {longest}," in message
+    assert any(f"study {study_id}:" in message and f"exemplar {exemplar_id} " in message
+               for (study_id, exemplar_id), n in lengths.items() if n == longest)
+    # at the longest length itself, every prompt fits
+    cfg = Stage2Config(**{**SHORT_STAGE2, "max_positions": longest})
+    _prepare_caches(pipeline._stage2_model(cfg, model.stage1, model.vocab, rng(0)),
+                    samples, index)
